@@ -12,10 +12,8 @@ grew out of:
   the gate is that it keeps **>= 0.8** of the pool's throughput, so
   going distributed is never a large regression on one box — it only
   unlocks more boxes.
-* ``artifact-sync economy`` — bytes moved by the fingerprint-keyed
-  FETCH/HAVE plane in the remote leg vs the bulk result bytes the
-  pickle data plane ships over the pool pipe.  Content addressing
-  must move a small fraction of what bulk shipping would.
+* ``artifact-sync volume`` — bytes moved by the fingerprint-keyed
+  FETCH/HAVE plane in the remote leg (reported, not gated).
 * ``dispatch overhead`` — the work-stealing scheduler's bookkeeping
   must stay **<= 2%** of sweep wall on every leg (the same gate
   ``bench_runtime.py`` pins for the in-machine backends).
@@ -57,11 +55,11 @@ POOL_WORKERS = 8
 
 
 def bench_leg(ftp_bytes: int, trials: int, seeds: int, *,
-              workers: Optional[int], transport: str,
+              workers: Optional[int] = None,
               hosts: Optional[str] = None) -> Dict[str, object]:
     """One warmed validation sweep on one backend configuration."""
     runner = FtpRunner(nbytes=ftp_bytes)
-    exe = TrialExecutor(workers=workers, transport=transport, hosts=hosts)
+    exe = TrialExecutor(workers=workers, hosts=hosts)
     try:
         # Untimed warm-up: backend start (fleet launch for the remote
         # leg), registry + import heat on every worker.
@@ -124,35 +122,20 @@ def main(argv=None) -> int:
 
     print(f"sweep: {len(ALL_SCENARIOS)} scenarios, ftp {ftp_bytes:,}B "
           f"x{trials} trials x{seeds} seed(s), baseline on")
-    serial = bench_leg(ftp_bytes, trials, seeds, workers=1,
-                       transport="auto")
+    serial = bench_leg(ftp_bytes, trials, seeds, workers=1)
     print(f"  serial              {serial['wall_seconds']:7.2f}s")
-    pool_pickle = bench_leg(ftp_bytes, trials, seeds,
-                            workers=POOL_WORKERS, transport="pickle")
-    print(f"  pool x{POOL_WORKERS} (pickle)   "
-          f"{pool_pickle['wall_seconds']:7.2f}s")
-    pool = bench_leg(ftp_bytes, trials, seeds, workers=POOL_WORKERS,
-                     transport="auto")
-    print(f"  pool x{POOL_WORKERS} (envelope) {pool['wall_seconds']:7.2f}s")
-    remote = bench_leg(ftp_bytes, trials, seeds, workers=None,
-                       transport="remote", hosts=HOSTS)
+    pool = bench_leg(ftp_bytes, trials, seeds, workers=POOL_WORKERS)
+    print(f"  pool x{POOL_WORKERS}             {pool['wall_seconds']:7.2f}s")
+    remote = bench_leg(ftp_bytes, trials, seeds, hosts=HOSTS)
     print(f"  remote {HOSTS}  {remote['wall_seconds']:7.2f}s")
 
-    tables_identical = (serial["table"] == pool_pickle["table"]
-                        == pool["table"] == remote["table"])
+    tables_identical = (serial["table"] == pool["table"]
+                        == remote["table"])
     efficiency = round(
         float(pool["wall_seconds"]) / float(remote["wall_seconds"]), 4)
-    # The pickle leg exists for the byte-economy comparison; its
-    # dispatch fraction includes pickling every bulk payload, which is
-    # exactly what the envelope/remote data planes exist to avoid, so
-    # the 2% gate covers the default planes (same gate as
-    # bench_runtime.py).
     overhead = max(float(leg["dispatch_fraction"])
                    for leg in (serial, pool, remote))
     sync_bytes = int(remote["fleet"]["sync_bytes_fetched"])
-    bulk_bytes = int(pool_pickle["ipc_bytes_recv"])
-    sync_ratio = (round(sync_bytes / bulk_bytes, 4) if bulk_bytes
-                  else None)
 
     result: Dict[str, object] = {
         "benchmark": "distributed_sweep",
@@ -168,16 +151,12 @@ def main(argv=None) -> int:
         },
         "legs": {
             name: {k: v for k, v in leg.items() if k != "table"}
-            for name, leg in (("serial", serial),
-                              ("pool_pickle", pool_pickle),
-                              ("pool_envelope", pool),
+            for name, leg in (("serial", serial), ("pool", pool),
                               ("remote", remote))
         },
         "scaling_efficiency": efficiency,
         "scaling_efficiency_limit": SCALING_EFFICIENCY_LIMIT,
         "artifact_sync_bytes": sync_bytes,
-        "bulk_result_bytes": bulk_bytes,
-        "sync_to_bulk_ratio": sync_ratio,
         "dispatch_overhead_fraction": round(overhead, 5),
         "dispatch_overhead_limit": DISPATCH_OVERHEAD_LIMIT,
         "tables_identical": tables_identical,
@@ -191,9 +170,7 @@ def main(argv=None) -> int:
 
     print(f"\nscaling efficiency (pool/remote) : {efficiency:.2f} "
           f"(limit {SCALING_EFFICIENCY_LIMIT})")
-    print(f"artifact-sync vs bulk bytes      : {sync_bytes:,} / "
-          f"{bulk_bytes:,}"
-          + (f" ({sync_ratio:.1%})" if sync_ratio is not None else ""))
+    print(f"artifact-sync bytes fetched      : {sync_bytes:,}")
     print(f"dispatch overhead (worst leg)    : {overhead:.3%} "
           f"(limit {DISPATCH_OVERHEAD_LIMIT:.0%})")
     print(f"tables identical                 : {tables_identical}")

@@ -12,10 +12,10 @@ Produces ``BENCH_runtime.json`` at the repo root, characterizing the
   golden and fuzz all route through one generic scheduler instead of
   the old trial-specific pool loop.
 * ``echo micro`` — per-job round-trip cost of the pure runtime on
-  every backend (serial inline, warm pool, loopback socket), measured
-  with the zero-work ``echo`` job kind, so backend overhead is visible
-  without simulation noise.
-* ``backend equivalence`` — the pool and socket sweeps must render the
+  every backend (serial inline, warm pool, one-host ``local:N``
+  fleet), measured with the zero-work ``echo`` job kind, so backend
+  overhead is visible without simulation noise.
+* ``backend equivalence`` — the pool and fleet sweeps must render the
   serial sweep's table byte for byte.
 
 Full mode adds a ``check`` leg (two scenarios through the invariant
@@ -35,7 +35,7 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -64,10 +64,10 @@ def _echo_jobs(count: int) -> List[Job]:
 
 
 def bench_sweep(ftp_bytes: int, trials: int, workers: int,
-                transport: str) -> Dict[str, object]:
+                hosts: Optional[str] = None) -> Dict[str, object]:
     """One warmed validation sweep; dispatch_ns vs wall."""
     runner = FtpRunner(nbytes=ftp_bytes)
-    exe = TrialExecutor(workers=workers, transport=transport)
+    exe = TrialExecutor(workers=workers, hosts=hosts)
     try:
         # Untimed warm-up: pool start, registry + import heat.
         run_validation([ALL_SCENARIOS[0]], runner, seed=0, trials=1,
@@ -97,8 +97,7 @@ def bench_echo(count: int, workers: int) -> Dict[str, object]:
     out: Dict[str, object] = {}
     for name, kwargs in (("serial", {"workers": 1}),
                          ("pool", {"workers": workers}),
-                         ("socket", {"workers": workers,
-                                     "transport": "socket"})):
+                         ("fleet", {"hosts": f"local:{workers}"})):
         exe = Scheduler(**kwargs)
         try:
             exe.map_jobs(_echo_jobs(8))        # warm the backend
@@ -160,19 +159,20 @@ def main(argv=None) -> int:
 
     print(f"sweep legs (4 scenarios, ftp {ftp_bytes:,}B x{trials} "
           f"trials)...")
-    serial = bench_sweep(ftp_bytes, trials, 1, "auto")
+    serial = bench_sweep(ftp_bytes, trials, 1)
     print(f"  serial  {serial['wall_seconds']:6.2f}s")
-    pool = bench_sweep(ftp_bytes, trials, args.workers, "auto")
+    pool = bench_sweep(ftp_bytes, trials, args.workers)
     print(f"  pool    {pool['wall_seconds']:6.2f}s "
           f"dispatch {pool['dispatch_fraction']:.3%}")
-    socket_leg = bench_sweep(ftp_bytes, trials, args.workers, "socket")
-    print(f"  socket  {socket_leg['wall_seconds']:6.2f}s "
-          f"dispatch {socket_leg['dispatch_fraction']:.3%}")
+    fleet = bench_sweep(ftp_bytes, trials, args.workers,
+                        hosts=f"local:{args.workers}")
+    print(f"  fleet   {fleet['wall_seconds']:6.2f}s "
+          f"dispatch {fleet['dispatch_fraction']:.3%}")
 
     tables_identical = (serial["table"] == pool["table"]
-                        == socket_leg["table"])
+                        == fleet["table"])
     overhead = max(leg["dispatch_fraction"]
-                   for leg in (serial, pool, socket_leg))
+                   for leg in (serial, pool, fleet))
 
     print(f"echo micro ({echo_count} jobs per backend)...")
     echo_legs = bench_echo(echo_count, args.workers)
@@ -192,7 +192,7 @@ def main(argv=None) -> int:
         "sweep_legs": {
             name: {k: v for k, v in leg.items() if k != "table"}
             for name, leg in (("serial", serial), ("pool", pool),
-                              ("socket", socket_leg))
+                              ("fleet", fleet))
         },
         "echo_legs": echo_legs,
         "dispatch_overhead_fraction": round(overhead, 5),

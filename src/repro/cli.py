@@ -75,7 +75,6 @@ from .obs import (
     write_chrome_trace,
     write_jsonl,
 )
-from .runtime import TRANSPORTS
 from .runtime.session import (
     ExecutionConfig,
     RuntimeSession,
@@ -137,17 +136,10 @@ def _execution_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("execution")
     group.add_argument("--workers", type=int, default=None,
-                       help="worker process count (default: one per CPU; "
-                            "1 forces serial; results are byte-identical "
-                            "for every worker count)")
-    group.add_argument("--transport", choices=TRANSPORTS, default="auto",
-                       help="execution backend and data plane: envelope "
-                            "hands bulk results off through a shared "
-                            "binary store, pickle ships them over the "
-                            "pool pipe, socket runs workers as TCP "
-                            "subprocesses on the loopback; auto picks "
-                            "envelope (results identical on every "
-                            "transport)")
+                       help="worker process count for the local process "
+                            "pool (default: one per CPU; 1 runs "
+                            "serially in this process; results are "
+                            "byte-identical for every worker count)")
     group.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="content-addressed artifact cache: warm "
                             "reruns load unchanged stages instead of "
@@ -159,27 +151,24 @@ def _execution_parent() -> argparse.ArgumentParser:
                             "is not a TTY")
     group.add_argument("--run-dir", default=None, metavar="DIR",
                        help="append this command's run manifest "
-                            "(workers, transport, cache, wall clock, "
-                            "output hash) to DIR/ledger.jsonl")
+                            "(workers, backend counters, cache, wall "
+                            "clock, output hash) to DIR/ledger.jsonl")
     group.add_argument("--hosts", default=None, metavar="SPEC",
                        help="distribute over a worker fleet: "
                             "'a:4,b:8' (host:workers, 'local' for "
                             "pseudo-hosts on this machine) or a path "
-                            "to a TOML hosts file; implies "
-                            "--transport remote (results stay "
-                            "byte-identical to serial)")
+                            "to a TOML hosts file; overrides "
+                            "--workers (results stay byte-identical "
+                            "to serial)")
     return parent
 
 
 def _session_executor(session: RuntimeSession):
-    """The session's scheduler when the flags ask for parallelism,
-    else ``None`` (the command's plain serial path).  The socket
-    transport always goes through the scheduler — that is the whole
-    point of asking for it."""
+    """The session's scheduler when the flags ask for more than one
+    worker or for a fleet, else ``None`` (the command's plain serial
+    path)."""
     config = session.config
-    if ((config.workers or 1) > 1
-            or config.transport in ("socket", "remote")
-            or config.hosts):
+    if (config.workers or 1) > 1 or config.hosts:
         return session.scheduler()
     return None
 

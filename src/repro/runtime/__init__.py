@@ -1,7 +1,7 @@
 """``repro.runtime`` — the unified execution runtime.
 
-One scheduler, pluggable backends, generic jobs: every bulk workload
-in the repo (validation sweeps, invariant checks, golden regeneration,
+One scheduler, two backends, generic jobs: every bulk workload in the
+repo (validation sweeps, invariant checks, golden regeneration,
 scenario fuzzing) drives through this package, and all of them produce
 byte-identical output on every backend.  See ``docs/RUNTIME.md`` for
 the job lifecycle, the Backend protocol, and how to add a backend.
@@ -12,9 +12,9 @@ Layering (lowest first):
     :class:`Job` / :class:`JobResult` — the unit of work and its wire
     result; runner references; the job-kind registry.
 ``backends``
-    The :class:`Backend` protocol and its in-machine implementations
-    (:class:`SerialBackend`, :class:`PoolBackend`), plus the
-    worker-side chunk executor every backend shares.
+    The :class:`Backend` protocol, the warm process pool
+    (:class:`PoolBackend`), and the worker-side chunk executor both
+    backends share.
 ``sync`` / ``hosts``
     The multi-node substrate: FETCH/HAVE artifact-sync frames, and
     host inventory (``--hosts a:4,b:8`` / TOML) with the
@@ -22,11 +22,12 @@ Layering (lowest first):
 ``remote``
     :class:`RemoteBackend` — the multi-node fleet (work-stealing
     dispatch, heartbeats, re-dispatch, fingerprint-keyed artifact
-    sync) — and :class:`LoopbackSocketBackend`, its one-host
-    shared-store configuration.
+    sync).
 ``scheduler``
-    :class:`Scheduler` — work-stealing chunking, ordering, caching,
-    retry, rehydration, interrupt teardown.
+    :class:`Scheduler` — backend choice (``hosts`` given: the fleet;
+    else ``workers > 1``: the pool; else inline), work-stealing
+    chunking, ordering, caching, retry, rehydration, interrupt
+    teardown.
 ``session``
     :class:`RuntimeSession` — per-invocation wiring of pipeline,
     scheduler, progress and run ledger for the CLI.
@@ -37,9 +38,7 @@ from .backends import (
     BackendBroken,
     BackendUnavailable,
     PoolBackend,
-    SerialBackend,
     execute_wire_chunk,
-    execute_wire_chunk_keys,
     worker_store,
 )
 from .hosts import (
@@ -63,13 +62,9 @@ from .job import (
     resolve_runner,
     runner_ref,
 )
-from .remote import (
-    LoopbackSocketBackend,
-    RemoteBackend,
-)
+from .remote import RemoteBackend
 from .scheduler import (
     CHUNK_THRESHOLD,
-    TRANSPORTS,
     JobFuture,
     Scheduler,
     default_workers,
@@ -100,16 +95,13 @@ __all__ = [
     "JobResult",
     "JobTransportError",
     "LocalLauncher",
-    "LoopbackSocketBackend",
     "PoolBackend",
     "RemoteBackend",
     "ResultEnvelope",
     "RuntimeSession",
     "Scheduler",
-    "SerialBackend",
     "SshLauncher",
     "SyncError",
-    "TRANSPORTS",
     "TransportFailure",
     "WorkerLauncher",
     "command_ledger_record",
@@ -117,7 +109,6 @@ __all__ = [
     "default_workers",
     "encode_sync",
     "execute_wire_chunk",
-    "execute_wire_chunk_keys",
     "launcher_for",
     "load_hosts_file",
     "parse_hosts",

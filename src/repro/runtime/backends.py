@@ -7,34 +7,23 @@ retry, result rehydration — lives in :mod:`repro.runtime.scheduler`
 and is backend-agnostic, which is what makes every backend produce
 byte-identical results.
 
-This module holds the in-machine implementations:
-
-:class:`SerialBackend`
-    No workers at all.  The scheduler executes jobs lazily in the
-    parent process; this class exists so "serial" is a first-class
-    member of the backend matrix rather than a missing pool.
-:class:`PoolBackend`
-    A warm ``ProcessPoolExecutor``: workers are initialized once per
-    process (scenario registry resolved, shared artifact store opened,
-    garbage collection frozen and moved to chunk boundaries) and
-    reused across phases and subcommands.
-
-The socket-reached backends — the multi-node
-:class:`~repro.runtime.remote.RemoteBackend` fabric and its one-host
-:class:`~repro.runtime.remote.LoopbackSocketBackend` configuration —
-live in :mod:`repro.runtime.remote` and build on the wire framing
-(:func:`send_frame` / :func:`recv_frame`) and error taxonomy defined
-here.
+There are two backends, and the scheduler picks one from what the
+caller already says: ``hosts`` given means the multi-node
+:class:`~repro.runtime.remote.RemoteBackend` fleet; otherwise more than
+one worker means :class:`PoolBackend`, a warm ``ProcessPoolExecutor``;
+one worker and no hosts means no backend at all (jobs run inline in
+the parent).  The fleet lives in :mod:`repro.runtime.remote` and
+builds on the wire framing (:func:`send_frame` / :func:`recv_frame`)
+and error taxonomy defined here.
 
 The worker-side entry point :func:`execute_wire_chunk` is shared by
-every remote backend: it decodes a chunk frame, resolves each job's
-runner by reference, executes, seals bulk results into the shared
-store (envelope data plane), and ships back per-job
+both backends: it decodes a chunk frame, resolves each job's runner
+by reference, executes, seals bulk results into the worker's store
+(the envelope data plane), and returns per-job
 :class:`~repro.runtime.job.JobResult` frames plus the chunk's
-telemetry spans.  :func:`execute_wire_chunk_keys` is the multi-node
-variant that additionally reports which store keys the chunk sealed,
-so the parent learns where each artifact lives without opening the
-reply payload.
+telemetry spans, together with the store keys the chunk sealed — so
+the fleet learns where each artifact lives without opening the reply
+payload.
 """
 
 from __future__ import annotations
@@ -48,7 +37,7 @@ import struct
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.telemetry import (
     capture_begin,
@@ -65,10 +54,9 @@ __all__ = [
     "Backend",
     "BackendBroken",
     "BackendUnavailable",
+    "PROTOCOL_VERSION",
     "PoolBackend",
-    "SerialBackend",
     "execute_wire_chunk",
-    "execute_wire_chunk_keys",
     "worker_store",
 ]
 
@@ -171,18 +159,20 @@ def _seal(result: Any, key: str, kind: str) -> JobResult:
         nbytes=len(blob), encode_ns=encode_ns))
 
 
-def execute_wire_chunk(wire: bytes, envelope: bool,
+def execute_wire_chunk(wire: bytes,
                        telemetry_ctx: Optional[Tuple[str, int]] = None
-                       ) -> bytes:
+                       ) -> Tuple[bytes, List[str], int]:
     """Run a chunk of jobs in one backend round-trip.
 
     ``wire`` is a pickled list of ``(runner_ref, kind, label, payload,
-    key)`` tuples; the return is a pickled ``(results, spans_blob)``
-    pair — per-item :class:`~repro.runtime.job.JobResult` frames
-    aligned with the input, plus the chunk's stage spans as one codec
-    frame (or ``None`` when telemetry is off).  Pickling is done here,
-    not by the backend, so the parent can count the exact bytes that
-    crossed the process boundary.
+    key)`` tuples.  Returns ``(reply, sealed_keys, njobs)``: ``reply``
+    is a pickled ``(results, spans_blob)`` pair — per-item
+    :class:`~repro.runtime.job.JobResult` frames aligned with the
+    input, plus the chunk's stage spans as one codec frame (or
+    ``None`` when telemetry is off); ``sealed_keys`` names every store
+    artifact this chunk parked in the worker's store.  Pickling is done
+    here, not by the backend, so the parent can count the exact bytes
+    that crossed the process boundary.
 
     ``telemetry_ctx`` is ``(sweep_id, submit_ns)``: its presence turns
     span capture on for this chunk, and ``submit_ns`` (the parent's
@@ -190,20 +180,6 @@ def execute_wire_chunk(wire: bytes, envelope: bool,
     zero, since wall clocks across processes may disagree by more than
     a short queue wait.
     """
-    wire_out, _keys, _njobs = execute_wire_chunk_keys(
-        wire, envelope, telemetry_ctx)
-    return wire_out
-
-
-def execute_wire_chunk_keys(wire: bytes, envelope: bool,
-                            telemetry_ctx: Optional[Tuple[str, int]] = None
-                            ) -> Tuple[bytes, List[str], int]:
-    """:func:`execute_wire_chunk` plus provenance: returns ``(wire_out,
-    sealed_keys, njobs)`` where ``sealed_keys`` names every store
-    artifact this chunk parked in the worker's store.  The multi-node
-    done frame carries the extras so the parent learns which node
-    holds each artifact — the index behind lazy ``FETCH`` — without
-    unpickling the reply payload."""
     chunk_tok = None
     if telemetry_ctx is not None:
         sweep_id, submit_ns = telemetry_ctx
@@ -224,7 +200,7 @@ def execute_wire_chunk_keys(wire: bytes, envelope: bool,
             out.append(JobResult.failed(str(exc)))
             continue
         span_end(tok, kind, label)
-        if envelope and _WORKER_STORE is not None:
+        if _WORKER_STORE is not None:
             job_result = _seal(result, key, kind)
             if job_result.envelope is not None:
                 sealed.append(job_result.envelope.key)
@@ -249,6 +225,10 @@ def execute_wire_chunk_keys(wire: bytes, envelope: bool,
 # ======================================================================
 # Wire framing (shared with repro.runtime.worker)
 # ======================================================================
+# The fleet wire protocol's version, carried in every worker's hello
+# frame; the parent refuses any other.
+PROTOCOL_VERSION = 3
+
 _FRAME_HEADER = struct.Struct("<Q")
 
 
@@ -285,21 +265,21 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 class Backend:
     """The protocol a scheduler backend implements.
 
-    ``remote`` says whether chunks cross a process boundary (``False``
-    only for :class:`SerialBackend`, which the scheduler special-cases
-    into lazy in-parent execution).  ``start`` receives the shared
-    store root (or ``None`` on the pickle data plane) and must raise
-    :class:`BackendUnavailable` if this environment cannot host the
-    backend.  ``submit`` takes the opaque chunk frame produced by the
-    scheduler and returns a future resolving to the worker's reply
-    frame; a dead backend surfaces as :class:`BackendBroken` (or
-    ``BrokenProcessPool``) either from ``submit`` or from the future.
-    ``shutdown(cancel=True)`` additionally drops chunks that have not
-    started (the Ctrl-C path).
+    ``start`` receives the store root workers seal results into and
+    must raise :class:`BackendUnavailable` if this environment cannot
+    host the backend.  ``submit`` takes the opaque chunk frame produced
+    by the scheduler, the telemetry context and the store keys the
+    chunk's jobs read, and returns a future resolving to what
+    :func:`execute_wire_chunk` returned in the worker; a dead backend
+    surfaces as :class:`BackendBroken` (or ``BrokenProcessPool``)
+    either from ``submit`` or from the future.  ``shutdown(cancel=True)``
+    additionally drops chunks that have not started (the Ctrl-C path).
+    ``stats`` and ``fetch_artifact`` are for backends whose workers keep
+    private stores; the defaults say there is nothing to report or
+    fetch.
     """
 
     name = "backend"
-    remote = True
 
     def start(self, store_root: Optional[str]) -> None:
         raise NotImplementedError
@@ -307,37 +287,20 @@ class Backend:
     def pool_size(self) -> int:
         raise NotImplementedError
 
-    def submit(self, wire: bytes, envelope: bool,
-               telemetry_ctx: Optional[Tuple[str, int]]) -> Future:
+    def submit(self, wire: bytes,
+               telemetry_ctx: Optional[Tuple[str, int]],
+               refs: Sequence[str]) -> Future:
         raise NotImplementedError
 
     def shutdown(self, cancel: bool = False) -> None:
         raise NotImplementedError
 
+    def stats(self) -> Optional[Dict[str, Any]]:
+        return None
 
-class SerialBackend(Backend):
-    """In-parent execution: no workers, no transport, no pickling.
-
-    The scheduler never calls ``submit`` on it — jobs run lazily on
-    first result access via the very same runner functions a worker
-    would call, which is what makes serial the reference point of the
-    equivalence matrix."""
-
-    name = "serial"
-    remote = False
-
-    def start(self, store_root: Optional[str]) -> None:
-        pass
-
-    def pool_size(self) -> int:
-        return 1
-
-    def submit(self, wire: bytes, envelope: bool,
-               telemetry_ctx: Optional[Tuple[str, int]]) -> Future:
-        raise BackendUnavailable("serial backend takes no submissions")
-
-    def shutdown(self, cancel: bool = False) -> None:
-        pass
+    def fetch_artifact(self, key: str,
+                       digest: Optional[str] = None) -> Optional[bytes]:
+        return None
 
 
 class PoolBackend(Backend):
@@ -352,7 +315,6 @@ class PoolBackend(Backend):
     """
 
     name = "pool"
-    remote = True
 
     def __init__(self, workers: int):
         self.workers = max(1, int(workers))
@@ -374,12 +336,15 @@ class PoolBackend(Backend):
             raise BackendUnavailable(
                 f"pool unavailable: {type(exc).__name__}: {exc}")
 
-    def submit(self, wire: bytes, envelope: bool,
-               telemetry_ctx: Optional[Tuple[str, int]]) -> Future:
+    def submit(self, wire: bytes,
+               telemetry_ctx: Optional[Tuple[str, int]],
+               refs: Sequence[str]) -> Future:
+        # Pool workers share the parent's store: ``refs`` are already
+        # there.
         if self._pool is None:
             raise BackendBroken("pool backend not started")
         try:
-            return self._pool.submit(execute_wire_chunk, wire, envelope,
+            return self._pool.submit(execute_wire_chunk, wire,
                                      telemetry_ctx)
         except (BrokenProcessPool, OSError, RuntimeError) as exc:
             raise BackendBroken(

@@ -9,17 +9,14 @@ actually needs to know:
     A ``"module:qualname"`` reference to a module-level function
     ``fn(payload) -> result``.  Shipping the *reference* (not the
     function) keeps jobs picklable by value and lets freshly spawned
-    worker processes (the loopback-socket backend) resolve the same
-    function by import.  Resolution is memoized per process.
-``payload``
-    The runner's argument.  Three variants cover the transport
-    spectrum: ``payload`` is what in-process execution uses (it may
-    hold live handles like an open :class:`~repro.pipeline.Pipeline`);
-    ``wire_payload``, when set, is the picklable stand-in shipped to
-    remote workers; ``slim_payload``, when set, additionally replaces
-    the wire copy while the envelope (store-mediated) data plane is
-    active — the variant that strips bulk inputs down to shared-store
-    references a worker can resolve locally.
+    worker processes (the fleet's) resolve the same function by
+    import.  Resolution is memoized per process.
+``payload`` / ``wire_payload``
+    The runner's argument.  ``payload`` is what in-process execution
+    uses (it may hold live handles like an open
+    :class:`~repro.pipeline.Pipeline`); ``wire_payload``, when set, is
+    the picklable stand-in shipped to workers — it may also strip bulk
+    inputs down to store references a worker resolves locally.
 ``fingerprint``
     The content-addressed identity of the job's result, when it has
     one.  The scheduler uses it for artifact-cache lookups before
@@ -79,10 +76,9 @@ class Job:
     label: str = ""
     fingerprint: Optional[str] = None
     cost_hint: float = 1.0
-    # Remote-execution payload variants (see module docstring).
+    # The payload shipped to workers (see module docstring).
     wire_payload: Any = None
-    slim_payload: Any = None
-    # Shared-store keys the slim payload references (e.g. a modulated
+    # Store keys the wire payload references (e.g. a modulated
     # trial's ``replay_ref``).  Multi-node backends sync these to a
     # node's private store — deduplicated with HAVE frames — before
     # dispatching the chunk there; single-machine backends, whose
@@ -93,10 +89,8 @@ class Job:
         """How this job appears in the sweep timeline."""
         return self.label or self.kind
 
-    def for_wire(self, envelope: bool) -> Any:
-        """The payload variant to ship to a remote worker."""
-        if envelope and self.slim_payload is not None:
-            return self.slim_payload
+    def for_wire(self) -> Any:
+        """The payload to ship to a worker."""
         if self.wire_payload is not None:
             return self.wire_payload
         return self.payload

@@ -1,23 +1,20 @@
 """The multi-node execution fabric: :class:`RemoteBackend`.
 
-One backend generalizes every socket-reached worker fleet:
+Every ``--hosts`` run goes through this backend:
 
 * ``repro validate --hosts a:4,b:8`` — real hosts, bootstrapped over
   SSH (:mod:`repro.runtime.hosts`), each node owning a *private*
   :class:`~repro.pipeline.ArtifactStore`;
 * ``--hosts local:2,local:2`` — N pseudo-hosts on this machine, same
   private stores, same sync plane, so CI exercises the entire
-  multi-node path on one box;
-* ``--transport socket`` — :class:`LoopbackSocketBackend`, now a
-  one-pseudo-host :class:`RemoteBackend` whose node store *is* the
-  parent's shared store (no sync plane needed on one machine).
+  multi-node path on one box.
 
 Workers are ``python -m repro.runtime.worker`` processes that dial the
-parent's listener back and speak protocol v2 (see
+parent's listener back and speak protocol v3 (see
 :mod:`repro.runtime.worker`): the parent sends ``("chunk", id, wire,
-envelope, telemetry_ctx)``, the worker streams ``("hb", id)``
-heartbeats while executing and finishes with ``("done", id, ok,
-payload, sealed_keys, njobs)``.
+telemetry_ctx)``, the worker streams ``("hb", id)`` heartbeats while
+executing and finishes with ``("done", id, ok, payload, sealed_keys,
+njobs)``.
 
 Dispatch is **pull-based**: chunks go into one shared queue and each
 worker's dispatcher thread takes the next one as its worker frees up —
@@ -59,6 +56,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..pipeline import ArtifactStore, codec
 from .backends import (
+    PROTOCOL_VERSION,
     Backend,
     BackendBroken,
     BackendUnavailable,
@@ -76,7 +74,6 @@ from .sync import (
 
 __all__ = [
     "MAX_DISPATCH_ATTEMPTS",
-    "LoopbackSocketBackend",
     "RemoteBackend",
 ]
 
@@ -84,21 +81,18 @@ __all__ = [
 # before its future fails over to in-process execution.
 MAX_DISPATCH_ATTEMPTS = 3
 
-PROTOCOL_VERSION = 2
-
 
 class _Chunk:
     """One submitted chunk riding the shared dispatch queue."""
 
-    __slots__ = ("chunk_id", "wire", "envelope", "telemetry_ctx",
-                 "input_refs", "future", "attempts")
+    __slots__ = ("chunk_id", "wire", "telemetry_ctx", "input_refs",
+                 "future", "attempts")
 
-    def __init__(self, chunk_id: int, wire: bytes, envelope: bool,
+    def __init__(self, chunk_id: int, wire: bytes,
                  telemetry_ctx: Optional[Tuple[str, int]],
                  input_refs: Sequence[str]):
         self.chunk_id = chunk_id
         self.wire = wire
-        self.envelope = envelope
         self.telemetry_ctx = telemetry_ctx
         self.input_refs = tuple(input_refs)
         self.future: Future = Future()
@@ -197,14 +191,12 @@ class RemoteBackend(Backend):
     """Work-stealing execution across a fleet of worker nodes.
 
     ``hosts`` describes the fleet (see :mod:`repro.runtime.hosts`).
-    With ``shared_store=True`` every node opens the parent's own
-    artifact store (single-machine loopback mode — no sync plane);
-    otherwise each node gets a private store root and one sync
-    connection, and artifacts move only by content key.
+    Given a store root, each node gets a private store and one sync
+    connection, and artifacts move only by content key; without one,
+    results ride the socket inline and there is nothing to sync.
     """
 
     name = "remote"
-    remote = True
 
     # A spawned worker must connect back within this long (cold-FS
     # imports are slow; a worker that crashes on startup fails faster).
@@ -214,12 +206,10 @@ class RemoteBackend(Backend):
     # heartbeat every second while executing.
     HEARTBEAT_TIMEOUT_S = 30.0
 
-    def __init__(self, hosts: Sequence[HostSpec],
-                 shared_store: bool = False):
+    def __init__(self, hosts: Sequence[HostSpec]):
         self.hosts = list(hosts)
         if not self.hosts:
             raise ValueError("RemoteBackend needs at least one host")
-        self.shared_store = shared_store
         self.workers = sum(h.workers for h in self.hosts)
         self._nodes: List[_Node] = []
         self._conns: List[_Conn] = []
@@ -248,32 +238,30 @@ class RemoteBackend(Backend):
             return
         all_local = all(h.is_local for h in self.hosts)
         bind_host = "127.0.0.1" if all_local else ""
+        # Without a store there is nothing to sync: no sync plane.
+        private = bool(store_root)
         try:
             listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             listener.bind((bind_host, 0))
-            total = self.workers + (0 if self._store_is_shared(store_root)
-                                    else len(self.hosts))
-            listener.listen(total)
+            listener.listen(self.workers
+                            + (len(self.hosts) if private else 0))
         except OSError as exc:
             raise BackendUnavailable(f"cannot bind fleet listener: {exc}")
         self._listener = listener
         port = listener.getsockname()[1]
-        private = not self._store_is_shared(store_root)
         if private:
             self._tmp = tempfile.mkdtemp(prefix="repro-fleet-")
-            if store_root:
-                self._parent_store = ArtifactStore(store_root)
+            self._parent_store = ArtifactStore(store_root)
         expected: Dict[Tuple[str, str], int] = {}
         try:
             for spec in self.hosts:
+                node_root = None
                 if private:
                     node_root = (os.path.join(self._tmp, spec.name
                                               .replace("#", "_"))
                                  if spec.is_local else
                                  f"/tmp/repro-node-{os.getpid()}-"
                                  f"{spec.name.split('#')[0]}")
-                else:
-                    node_root = store_root
                 node = _Node(spec, node_root)
                 self._nodes.append(node)
                 launcher = launcher_for(spec)
@@ -302,10 +290,6 @@ class RemoteBackend(Backend):
             thread.start()
         self._started = True
 
-    def _store_is_shared(self, store_root: Optional[str]) -> bool:
-        # Without any store there is nothing to sync either way.
-        return self.shared_store or not store_root
-
     def _accept_fleet(self, expected: Dict[Tuple[str, str], int]) -> None:
         """Collect every expected (node, role) connection, in whatever
         order the worker processes come up."""
@@ -326,8 +310,12 @@ class RemoteBackend(Backend):
                 role = hello.get("role", "worker")
                 proto = hello.get("proto", 1)
                 node = by_name.get(name)
-                if node is None or proto != PROTOCOL_VERSION \
-                        or remaining.get((name, role), 0) <= 0:
+                if proto != PROTOCOL_VERSION:
+                    sock.close()
+                    raise BackendUnavailable(
+                        f"fleet worker {name!r} speaks protocol {proto}, "
+                        f"expected {PROTOCOL_VERSION}")
+                if node is None or remaining.get((name, role), 0) <= 0:
                     sock.close()
                     raise BackendUnavailable(
                         f"unexpected fleet hello {hello!r}")
@@ -337,6 +325,9 @@ class RemoteBackend(Backend):
                 else:
                     self._conns.append(
                         _Conn(sock, node, int(hello.get("pid", 0))))
+        except BackendUnavailable:
+            self.shutdown()
+            raise
         except (socket.timeout, OSError, BackendBroken) as exc:
             self.shutdown()
             raise BackendUnavailable(
@@ -397,21 +388,16 @@ class RemoteBackend(Backend):
                 action(item)
 
     # -- submission -----------------------------------------------------
-    def submit(self, wire: bytes, envelope: bool,
-               telemetry_ctx: Optional[Tuple[str, int]]) -> Future:
-        return self.submit_chunk(wire, envelope, telemetry_ctx)
-
-    def submit_chunk(self, wire: bytes, envelope: bool,
-                     telemetry_ctx: Optional[Tuple[str, int]],
-                     input_refs: Sequence[str] = ()) -> Future:
+    def submit(self, wire: bytes,
+               telemetry_ctx: Optional[Tuple[str, int]],
+               refs: Sequence[str]) -> Future:
         with self._lock:
             if self._closed or not self._started:
                 raise BackendBroken("remote backend is closed")
             if not any(not c.dead for c in self._conns):
                 raise BackendBroken("no live fleet workers")
             self._chunk_seq += 1
-            chunk = _Chunk(self._chunk_seq, wire, envelope, telemetry_ctx,
-                           input_refs)
+            chunk = _Chunk(self._chunk_seq, wire, telemetry_ctx, refs)
         self._queue.put(chunk)
         return chunk.future
 
@@ -435,7 +421,7 @@ class RemoteBackend(Backend):
             conn.busy_chunk = item.chunk_id
             try:
                 send_frame(conn.sock, ("chunk", item.chunk_id, item.wire,
-                                       item.envelope, item.telemetry_ctx))
+                                       item.telemetry_ctx))
                 reply = self._await_done(conn, item.chunk_id)
             except (OSError, BackendBroken, socket.timeout) as exc:
                 conn.busy_chunk = None
@@ -452,7 +438,7 @@ class RemoteBackend(Backend):
             for key in keys:
                 self._key_origin[key] = node
             if ok:
-                item.future.set_result(payload)
+                item.future.set_result((payload, keys, njobs))
             else:
                 item.future.set_exception(BackendBroken(
                     f"fleet worker error: {payload}"))
@@ -618,28 +604,3 @@ class RemoteBackend(Backend):
             },
         }
 
-
-class LoopbackSocketBackend(RemoteBackend):
-    """The ``--transport socket`` backend: one local pseudo-host whose
-    workers share the parent's artifact store.
-
-    Since PR 10 this is a :class:`RemoteBackend` configuration, so the
-    loopback transport exercises — and is protected by — the same
-    pull-based dispatch, heartbeat and re-dispatch machinery as a real
-    fleet.  Worker count is *not* capped at core count: a 4-worker
-    matrix row must mean 4 real worker processes even on a small CI
-    box.
-    """
-
-    name = "socket"
-
-    def __init__(self, workers: int):
-        super().__init__([HostSpec(name="local#0",
-                                   workers=max(1, int(workers)))],
-                         shared_store=True)
-
-    @property
-    def worker_pids(self) -> List[int]:
-        """PIDs of the connected workers (kept for parity with the
-        pre-PR-10 loopback backend's attribute)."""
-        return [c.pid for c in self._conns]

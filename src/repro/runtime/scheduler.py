@@ -28,7 +28,7 @@ interleaved with trial code in ``validation/parallel.py``:
   cleanly before propagating (the CLI turns it into exit 130).
 
 The determinism contract is inherited from the jobs themselves: for
-any worker count, any transport, any backend, and every fallback path,
+any worker count, any backend, and every fallback path,
 results are byte-identical to serial execution because every job is
 executed by the same pure runner with the same payload, the codec
 round-trip is exact, and results are reassembled in submission order.
@@ -68,11 +68,10 @@ from .backends import (
 )
 from .hosts import HostSpec, load_hosts_file, parse_hosts
 from .job import Job, JobResult, ResultEnvelope, resolve_runner
-from .remote import LoopbackSocketBackend, RemoteBackend
+from .remote import RemoteBackend
 
 __all__ = [
     "CHUNK_THRESHOLD",
-    "TRANSPORTS",
     "JobFuture",
     "Scheduler",
     "default_workers",
@@ -83,12 +82,6 @@ __all__ = [
 # backend submission; everything above it gets a worker to itself.
 # Affects scheduling only, never results.
 CHUNK_THRESHOLD = 100.0
-
-# The recognised values of ``transport``: "auto"/"envelope"/"pickle"
-# select the data plane on the warm process pool ("auto" resolves to
-# envelope); "socket" selects the loopback-socket backend; "remote"
-# selects the multi-node fleet backend (both envelope data plane).
-TRANSPORTS = ("auto", "envelope", "pickle", "socket", "remote")
 
 
 def default_workers() -> int:
@@ -144,7 +137,7 @@ class _ChunkHandle:
 
     def payload(self, scheduler: Optional["Scheduler"]) -> List[JobResult]:
         if self._payload is None:
-            raw = self.future.result()
+            raw = self.future.result()[0]
             if scheduler is not None:
                 scheduler.metrics.counter(
                     "executor.ipc_bytes_recv").inc(len(raw))
@@ -323,13 +316,10 @@ class JobFuture:
             return self._UNSET
         t0 = time.perf_counter_ns()
         found, blob = store.raw_get(env.key)
-        if not found:
-            backend = sched._backend
-            fetch = getattr(backend, "fetch_artifact", None)
-            if fetch is not None:
-                fetched = fetch(env.key, env.digest)
-                if fetched is not None:
-                    found, blob = True, fetched
+        if not found and sched._backend is not None:
+            fetched = sched._backend.fetch_artifact(env.key, env.digest)
+            if fetched is not None:
+                found, blob = True, fetched
         if not found or codec.content_digest(blob) != env.digest:
             sched._note_fallback(f"envelope {env.key[:12]}...: artifact "
                                  f"missing or digest mismatch")
@@ -352,27 +342,27 @@ class JobFuture:
 
 
 class Scheduler:
-    """Order-preserving job execution with a pluggable backend under it.
+    """Order-preserving job execution with a backend under it.
 
-    ``workers=None`` sizes the backend to the machine; ``workers=1``
-    (or a backend that cannot start — restricted sandboxes, missing
-    semaphores, no sockets) degrades to in-process serial execution of
-    the very same runner calls.  ``submit_jobs`` returns futures
-    aligned index-for-index with the batch; ``map_jobs`` reads them in
-    submission order regardless of completion order — which is what
-    makes parallel runs bit-identical to serial ones.
+    The backend follows from the arguments:
 
-    ``transport`` selects the backend and its data plane:
-    ``"envelope"`` (warm pool, store-mediated handoff), ``"pickle"``
-    (warm pool, results through the pipe), ``"socket"`` (loopback
-    worker subprocesses, envelope data plane), ``"remote"`` (the
-    multi-node fleet of :mod:`repro.runtime.remote`, envelope data
-    plane plus FETCH/HAVE artifact sync), or ``"auto"`` (envelope
-    whenever a backend is used — unless ``hosts`` is given, which
-    resolves "auto" to "remote").  ``hosts`` takes an ``"a:4,b:8"``
-    expression, a TOML hosts-file path, or a prepared
-    :class:`~repro.runtime.hosts.HostSpec` list; ``"remote"`` without
-    hosts means ``local:<workers>`` — one pseudo-host.
+    * ``hosts`` given — the multi-node fleet of
+      :mod:`repro.runtime.remote` (``workers`` is then the fleet's
+      total width);
+    * otherwise ``workers > 1`` — the warm process pool;
+    * otherwise (``workers=1``) — no backend: jobs run in process.
+
+    ``workers=None`` sizes the pool to the machine.  A backend that
+    cannot start (restricted sandboxes, missing semaphores, no
+    sockets) degrades to in-process serial execution of the very same
+    runner calls.  ``hosts`` takes an ``"a:4,b:8"`` expression, a TOML
+    hosts-file path, or a prepared
+    :class:`~repro.runtime.hosts.HostSpec` list.  Both backends hand
+    bulk results back through a store (small ones ride the pipe).
+    ``submit_jobs`` returns futures aligned index-for-index with the
+    batch; ``map_jobs`` reads them in submission order regardless of
+    completion order — which is what makes parallel runs bit-identical
+    to serial ones.
 
     Usable as a context manager; the backend is created lazily on the
     first parallel submission and reused across phases and batches so
@@ -393,23 +383,14 @@ class Scheduler:
 
     def __init__(self, workers: Optional[int] = None,
                  pipeline: Optional[Pipeline] = None,
-                 transport: str = "auto",
                  hosts: Union[str, Sequence[HostSpec], None] = None):
-        if transport not in TRANSPORTS:
-            raise ValueError(f"unknown transport {transport!r}")
         self.workers = (default_workers() if workers is None
                         else max(1, int(workers)))
         self.hosts = resolve_hosts(hosts)
-        if self.hosts is not None and transport == "auto":
-            transport = "remote"
-        if transport == "remote":
-            if self.hosts is None:
-                self.hosts = parse_hosts(f"local:{self.workers}")
-            # The fleet defines the width; ``workers`` is per-host
-            # only insofar as the hosts expression says so.
+        if self.hosts is not None:
+            # The fleet defines the width.
             self.workers = sum(h.workers for h in self.hosts)
         self.pipeline = pipeline
-        self.transport = transport
         self.metrics = MetricsRegistry()
         self.fallback_reason: Optional[str] = None
         # Every distinct fallback reason, in first-seen order (capped);
@@ -424,10 +405,9 @@ class Scheduler:
         if pipeline is not None:
             self.metrics.add_collector(pipeline.collector(), key="pipeline")
         self._backend: Optional[Backend] = None
-        # workers=1 runs serially — except on the socket-reached
-        # backends, where even one worker exercises the wire protocol.
-        self._serial_fallback = (self.workers <= 1
-                                 and transport not in ("socket", "remote"))
+        # One worker and no fleet runs serially; a one-worker fleet
+        # still goes over the wire.
+        self._serial_fallback = self.hosts is None and self.workers <= 1
         self._transport_used = "serial"
         self._ipc_store: Optional[ArtifactStore] = None
         self._ipc_root: Optional[str] = None
@@ -483,9 +463,9 @@ class Scheduler:
             self._backend = None
 
     def _capture_backend_stats(self, backend: Backend) -> None:
-        stats = getattr(backend, "stats", None)
+        stats = backend.stats()
         if stats is not None:
-            self._backend_stats = stats()
+            self._backend_stats = stats
 
     def _flush_pending_inline(self) -> None:
         """Release every not-yet-dispatched slot to the in-process
@@ -527,8 +507,8 @@ class Scheduler:
 
     @property
     def transport_used(self) -> str:
-        """``"serial"`` until a backend carries work, then the resolved
-        transport (``"envelope"``, ``"pickle"`` or ``"socket"``)."""
+        """``"serial"`` until a backend carries work, then that
+        backend's name (``"pool"`` or ``"remote"``)."""
         return self._transport_used
 
     def transport_stats(self) -> Dict[str, Any]:
@@ -539,9 +519,7 @@ class Scheduler:
         metrics = self.metrics
         backend_stats = self._backend_stats
         if self._backend is not None:
-            stats = getattr(self._backend, "stats", None)
-            if stats is not None:
-                backend_stats = stats()
+            backend_stats = self._backend.stats() or backend_stats
         stats_dict = {
             "transport": self._transport_used,
             "workers": self.effective_workers,
@@ -647,7 +625,7 @@ class Scheduler:
         """Actual backend width (see the backends' ``pool_size``)."""
         if self._backend is not None:
             return self._backend.pool_size()
-        if self.transport in ("socket", "remote"):
+        if self.hosts is not None:
             return self.workers
         cores = os.cpu_count() or self.workers
         return max(1, min(self.workers, cores + 1))
@@ -696,11 +674,10 @@ class Scheduler:
         if not self._pending:
             return None
         t0 = time.perf_counter_ns()
-        envelope = self._resolve_transport() == "envelope"
         broken: Optional[BaseException] = None
         while self._pending and self._inflight < self._inflight_limit():
             chunk = self._next_chunk()
-            broken = self._dispatch_chunk(chunk, envelope)
+            broken = self._dispatch_chunk(chunk)
             if broken is not None:
                 self._release_heap_inline()
                 break
@@ -726,8 +703,8 @@ class Scheduler:
             chunk.append((j, s))
         return chunk
 
-    def _dispatch_chunk(self, chunk: List[Tuple[Job, _Slot]],
-                        envelope: bool) -> Optional[BaseException]:
+    def _dispatch_chunk(self, chunk: List[Tuple[Job, _Slot]]
+                        ) -> Optional[BaseException]:
         """Frame one chunk and submit it.  An unpicklable chunk falls
         its slots to the inline path (not fatal); a backend submission
         failure releases the slots and reports the exception so the
@@ -736,14 +713,12 @@ class Scheduler:
         items: List[Tuple[str, str, str, Any, str]] = []
         refs: List[str] = []
         for job, _slot in chunk:
-            payload = job.for_wire(envelope)
-            key = ""
-            if envelope:
-                key = job.fingerprint
-                if key is None or not self._ipc_shared:
-                    key = f"ipc:{self._seq:08d}"
-                    self._seq += 1
-                refs.extend(r for r in job.input_refs if r)
+            payload = job.for_wire()
+            key = job.fingerprint
+            if key is None or not self._ipc_shared:
+                key = f"ipc:{self._seq:08d}"
+                self._seq += 1
+            refs.extend(r for r in job.input_refs if r)
             if telemetry is not None:
                 payload = _stamp_sweep(payload, telemetry.sweep_id)
             items.append((job.runner, job.kind, job.span_label(),
@@ -761,22 +736,15 @@ class Scheduler:
             telemetry_ctx = (telemetry.sweep_id, time.time_ns())
         backend = self._backend
         try:
-            submit_chunk = getattr(backend, "submit_chunk", None)
-            if submit_chunk is not None:
-                future = submit_chunk(blob, envelope, telemetry_ctx,
-                                      tuple(dict.fromkeys(refs)))
-            else:
-                future = backend.submit(blob, envelope, telemetry_ctx)
+            future = backend.submit(blob, telemetry_ctx,
+                                    tuple(dict.fromkeys(refs)))
         except (BackendBroken, BrokenProcessPool, OSError,
                 RuntimeError) as exc:
             for _job, slot in chunk:
                 slot.release_inline()
             return exc
         self.metrics.counter("executor.ipc_bytes_sent").inc(len(blob))
-        if backend.name in ("socket", "remote"):
-            self._transport_used = backend.name
-        else:
-            self._transport_used = "envelope" if envelope else "pickle"
+        self._transport_used = backend.name
         handle = _ChunkHandle(future)
         for ci, (_job, slot) in enumerate(chunk):
             slot.bind(handle, ci)
@@ -794,11 +762,6 @@ class Scheduler:
         if self.progress is not None:
             self.progress.completed(count)
         self._pump()
-
-    def _resolve_transport(self) -> str:
-        """The data plane: pickle only when asked for; envelope
-        everywhere else (including the socket backend)."""
-        return "pickle" if self.transport == "pickle" else "envelope"
 
     def _ensure_ipc_store(self) -> ArtifactStore:
         """The shared store envelopes travel through: the pipeline's
@@ -819,9 +782,7 @@ class Scheduler:
         return self._ipc_store
 
     def _make_backend(self) -> Backend:
-        if self.transport == "socket":
-            return LoopbackSocketBackend(self.workers)
-        if self.transport == "remote":
+        if self.hosts is not None:
             return RemoteBackend(self.hosts)
         return PoolBackend(self.workers)
 
@@ -829,13 +790,10 @@ class Scheduler:
         if self._serial_fallback:
             return None
         if self._backend is None:
-            store_root = None
-            if self._resolve_transport() == "envelope":
-                self._ensure_ipc_store()
-                store_root = self._ipc_root
+            self._ensure_ipc_store()
             backend = self._make_backend()
             try:
-                backend.start(store_root)
+                backend.start(self._ipc_root)
             except BackendUnavailable as exc:
                 self._note_fallback(str(exc))
                 self._serial_fallback = True

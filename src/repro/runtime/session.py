@@ -3,8 +3,8 @@
 Every bulk subcommand (``validate``, ``check``, ``fuzz``, golden
 regeneration) needs the same four pieces of plumbing: an artifact
 pipeline over ``--cache-dir``, a scheduler over ``--workers`` /
-``--transport``, a progress meter over ``--progress``, and a run
-ledger over ``--run-dir``.  :class:`RuntimeSession` owns all four so
+``--hosts``, a progress meter over ``--progress``, and a run ledger
+over ``--run-dir``.  :class:`RuntimeSession` owns all four so
 subcommands stop hand-rolling them — and so one warm backend is
 reused when a single invocation runs several phases (``repro check
 --golden`` runs invariant checks *and* golden comparison through the
@@ -64,7 +64,6 @@ class ExecutionConfig:
     """The shared execution flags of every bulk subcommand."""
 
     workers: Optional[int] = None
-    transport: str = "auto"
     cache_dir: Optional[str] = None
     progress: bool = False
     run_dir: Optional[str] = None
@@ -77,7 +76,6 @@ class ExecutionConfig:
         not take a flag still get a valid config)."""
         return cls(
             workers=getattr(args, "workers", None),
-            transport=getattr(args, "transport", "auto"),
             cache_dir=getattr(args, "cache_dir", None),
             progress=bool(getattr(args, "progress", False)),
             run_dir=getattr(args, "run_dir", None),
@@ -124,7 +122,6 @@ class RuntimeSession:
 
             self._scheduler = TrialExecutor(
                 workers=self.config.workers, pipeline=self.pipeline,
-                transport=self.config.transport,
                 hosts=self.config.hosts)
         return self._scheduler
 

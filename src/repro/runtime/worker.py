@@ -2,18 +2,18 @@
 
 Spawned by :class:`~repro.runtime.remote.RemoteBackend` (one process
 per worker slot, locally or over SSH), this entry point dials the
-parent's listener back and speaks protocol v2.  The hello frame is
-``{"pid", "proto": 2, "node", "role"}``; what follows depends on the
-role:
+parent's listener back and speaks protocol v3.  The hello frame is
+``{"pid", "proto": 3, "node", "role"}`` (the parent refuses any other
+version); what follows depends on the role:
 
 ``worker`` (default)
     The execution loop.  The bootstrap mirrors a pool worker exactly —
     :func:`~repro.runtime.backends._worker_init` opens the node's
     artifact store, warms the scenario registry, freezes the GC,
-    ignores SIGINT — then each ``("chunk", id, wire, envelope,
-    telemetry_ctx)`` frame runs through
-    :func:`~repro.runtime.backends.execute_wire_chunk_keys` and is
-    answered with ``("done", id, ok, payload, sealed_keys, njobs)``.
+    ignores SIGINT — then each ``("chunk", id, wire, telemetry_ctx)``
+    frame runs through
+    :func:`~repro.runtime.backends.execute_wire_chunk` and is answered
+    with ``("done", id, ok, payload, sealed_keys, njobs)``.
     While a chunk executes, a heartbeat thread sends ``("hb", id)``
     about once a second so the parent can tell *slow* from *dead*.
 ``sync``
@@ -46,9 +46,10 @@ import threading
 import traceback
 
 from .backends import (
+    PROTOCOL_VERSION,
     BackendBroken,
     _worker_init,
-    execute_wire_chunk_keys,
+    execute_wire_chunk,
     recv_frame,
     send_frame,
 )
@@ -59,7 +60,6 @@ from .sync import (
     have_frame,
 )
 
-PROTOCOL_VERSION = 2
 EXIT_SIGTERM = 143  # 128 + SIGTERM: "node taken down", not "job crashed"
 
 # While executing a chunk, heartbeat this often.  Far below the
@@ -171,16 +171,16 @@ def serve(host: str, port: int, store_root: str | None,
                 frame = recv_frame(conn)
             except (BackendBroken, OSError):
                 return 0  # parent closed the connection: clean shutdown
-            if not (isinstance(frame, tuple) and frame
+            if not (isinstance(frame, tuple) and len(frame) == 4
                     and frame[0] == "chunk"):
                 return 0
-            _tag, chunk_id, wire, envelope, telemetry_ctx = frame
+            _tag, chunk_id, wire, telemetry_ctx = frame
             term.busy = True
             heartbeat.begin(chunk_id)
             try:
                 try:
-                    payload, keys, njobs = execute_wire_chunk_keys(
-                        wire, envelope, telemetry_ctx)
+                    payload, keys, njobs = execute_wire_chunk(
+                        wire, telemetry_ctx)
                     reply = ("done", chunk_id, True, payload, keys, njobs)
                 except _Terminated:  # pragma: no cover - tiny race
                     return EXIT_SIGTERM

@@ -10,7 +10,7 @@ embarrassingly parallel *and* guarantees that a parallel run is
 bit-identical to a serial one.
 
 This module is the *trial-specific glue* over :mod:`repro.runtime` —
-all scheduling, worker-pool lifecycle, transport, chunking, retry and
+all scheduling, backend lifecycle, data plane, chunking, retry and
 rehydration machinery lives there.  What stays here:
 
 * :class:`TrialSpec` — a picklable description of one trial (one
@@ -28,16 +28,15 @@ rehydration machinery lives there.  What stays here:
   entry points in :mod:`repro.validation.harness` and
   :mod:`repro.validation.figures`.
 
-The worker→parent data plane (``"envelope"`` store-mediated handoff
-vs ``"pickle"`` through the pipe) and the backend choice (warm process
-pool vs loopback-socket workers) are the scheduler's business; see
-:mod:`repro.runtime.backends`.  Modulated trials receive their replay
-by store reference (``replay_ref``) when the envelope plane is active
-— the spec's ``slim_payload`` wire variant strips the materialized
+The worker→parent data plane (bulk results handed off through a
+store) and the backend choice (process pool or ``hosts`` fleet) are
+the scheduler's business; see :mod:`repro.runtime.backends`.
+Modulated trials receive their replay by store reference
+(``replay_ref``) — the job's wire payload strips the materialized
 replay, and each worker memoizes decoded replays, so a distilled
 trace is shipped to each worker process at most once per sweep.
 
-Determinism contract: for any ``workers`` value, any transport and
+Determinism contract: for any ``workers`` or ``hosts`` value and
 any backend (including every fallback path), results are
 byte-identical to ``workers=1`` because every spec is executed by the
 same pure function with the same arguments, the codec round-trip is
@@ -136,12 +135,12 @@ class TrialSpec:
     ``{"__distill__": ..., "__obs__": ...}`` wrapper instead.
 
     ``replay_ref`` names the distill artifact holding this modulated
-    trial's replay in the scheduler's shared store.  On the envelope
-    data plane the materialized ``replay`` is stripped from the wire
-    copy and workers resolve the reference (memoized per process);
-    every other path uses ``replay`` directly.  The two are always
-    byte-equivalent — the codec round-trip is exact — so the transport
-    cannot change results.
+    trial's replay in the scheduler's shared store.  The materialized
+    ``replay`` is stripped from the wire copy and workers resolve the
+    reference (memoized per process); in-process execution uses
+    ``replay`` directly.  The two are always byte-equivalent — the
+    codec round-trip is exact — so the data plane cannot change
+    results.
     """
 
     kind: str
@@ -280,22 +279,21 @@ register_job_kind("trial", _EXECUTE_TRIAL)
 def job_for_spec(spec: TrialSpec) -> Job:
     """The runtime job for one trial spec.
 
-    ``slim_payload`` (the envelope-plane wire variant) strips a
-    materialized replay whenever the spec also carries its store
-    reference, so a distilled trace crosses the process boundary at
-    most once per worker.
+    The wire payload strips a materialized replay whenever the spec
+    also carries its store reference, so a distilled trace crosses the
+    process boundary at most once per worker.
     """
-    slim = None
+    wire = None
     refs: tuple = ()
     if spec.replay is not None and spec.replay_ref is not None:
-        slim = replace(spec, replay=None)
+        wire = replace(spec, replay=None)
         # Multi-node backends push this store artifact to the
         # executing node (HAVE-deduplicated) before dispatch, so the
-        # slim spec resolves there exactly as it does on one machine.
+        # wire spec resolves there exactly as it does on one machine.
         refs = (spec.replay_ref,)
     return Job(kind=spec.kind, runner=_EXECUTE_TRIAL, payload=spec,
                label=spec.span_label(), fingerprint=spec.fingerprint,
-               cost_hint=spec.cost_hint(), slim_payload=slim,
+               cost_hint=spec.cost_hint(), wire_payload=wire,
                input_refs=refs)
 
 
@@ -356,7 +354,7 @@ class TrialExecutor(Scheduler):
     ``submit_jobs`` / ``map_jobs`` remain available for generic jobs,
     so one warm backend can serve a validation sweep and, say, a
     golden regeneration in the same invocation.  Everything else —
-    worker counts, transports, caching, fallback accounting — is the
+    worker counts, backends, caching, fallback accounting — is the
     scheduler's contract; see its docstring.
     """
 
@@ -378,13 +376,12 @@ class TrialExecutor(Scheduler):
 def _executor_for(workers: Optional[int],
                   executor: Optional[TrialExecutor],
                   pipeline: Optional[Pipeline] = None,
-                  transport: str = "auto",
                   hosts=None) -> tuple:
     """(executor, owns_it): reuse the caller's executor when given.
 
     A given ``pipeline`` is attached to the executor either way (a
     caller-supplied executor keeps its own pipeline if it already has
-    one, and always keeps its own transport and hosts).
+    one, and always keeps its own workers and hosts).
     """
     if executor is not None:
         if pipeline is not None and executor.pipeline is None:
@@ -394,7 +391,7 @@ def _executor_for(workers: Optional[int],
                                            key="pipeline")
         return executor, False
     return TrialExecutor(workers=workers, pipeline=pipeline,
-                         transport=transport, hosts=hosts), True
+                         hosts=hosts), True
 
 
 # ======================================================================
@@ -534,7 +531,7 @@ class ValidationSweep:
     cache_hits: int = 0
     cache_misses: int = 0
     # Data-plane accounting (see Scheduler.transport_stats): which
-    # transport carried results, envelope/byte counters, and how often
+    # backend carried results, envelope/byte counters, and how often
     # — and why — execution fell back in-process.
     transport: Dict[str, Any] = field(default_factory=dict)
     fallback_reason: Optional[str] = None
@@ -545,7 +542,7 @@ class ValidationSweep:
     def render(self, title: Optional[str] = None, caption: str = "") -> str:
         """The Figures 6–8 style table for this sweep.
 
-        Byte-identical for any worker count and any transport — the
+        Byte-identical for any worker count and any backend — the
         determinism tests compare exactly this string across
         ``workers`` values.
         """
@@ -607,7 +604,6 @@ def run_validation(scenarios: Union[Scenario, Sequence[Scenario]],
                    executor: Optional[TrialExecutor] = None,
                    obs: Optional[ObsConfig] = None,
                    cache=None,
-                   transport: str = "auto",
                    hosts=None,
                    telemetry: Optional[SweepTelemetry] = None,
                    progress: Optional[SweepProgress] = None
@@ -619,7 +615,7 @@ def run_validation(scenarios: Union[Scenario, Sequence[Scenario]],
     baseline — is queued up front (longest first, cheap trials
     chunked), and each scenario's modulated trials are queued the
     moment its distillations resolve, carrying the distilled replay by
-    store reference when the envelope transport is active.  The
+    store reference.  The
     backend therefore never idles at a phase barrier; cheap scenarios'
     modulated trials run while expensive collections are still in
     flight.
@@ -632,11 +628,10 @@ def run_validation(scenarios: Union[Scenario, Sequence[Scenario]],
     or :class:`~repro.pipeline.Pipeline`) turns on content-addressed
     artifact caching: every trial is fingerprinted through the pipeline
     stages and looked up before it is executed, so a warm rerun of the
-    same sweep recomputes nothing.  With a disk cache the envelope
-    transport writes worker artifacts straight into it.  ``transport``
-    selects the backend and data plane (see
-    :class:`~repro.runtime.scheduler.Scheduler`).  Results are
-    identical with or without a cache, on every transport.
+    same sweep recomputes nothing.  With a disk cache workers write
+    their artifacts straight into it.  ``workers`` and ``hosts`` select
+    the backend (see :class:`~repro.runtime.scheduler.Scheduler`).
+    Results are identical with or without a cache, on every backend.
 
     ``seeds`` widens the sweep into a Monte Carlo workload: the full
     trial protocol repeats for ``seed, seed+1, ..., seed+seeds-1`` and
@@ -667,8 +662,7 @@ def run_validation(scenarios: Union[Scenario, Sequence[Scenario]],
         comp = compensation_vb()
     if telemetry is not None:
         telemetry.end(comp_tok, "compensation")
-    exe, owned = _executor_for(workers, executor, pipeline, transport,
-                               hosts)
+    exe, owned = _executor_for(workers, executor, pipeline, hosts)
     if telemetry is not None:
         exe.telemetry = telemetry
     if progress is not None:

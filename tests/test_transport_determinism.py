@@ -1,11 +1,10 @@
-"""Transport equivalence: envelope ≡ pickle ≡ serial, bit for bit.
+"""Data-plane equivalence: pool ≡ serial, bit for bit.
 
-The zero-copy envelope handoff moves results through a shared binary
-store instead of the pool pipe; these tests pin the contract that the
-data plane can never change a result — identical tables for any worker
-count on either transport, and identical behaviour with a disk cache
-underneath (where workers write artifacts straight into the pipeline's
-own store).
+Pool workers hand bulk results back through a shared binary store
+instead of the pool pipe; these tests pin the contract that this data
+plane can never change a result — identical tables for any worker
+count, and identical behaviour with a disk cache underneath (where
+workers write artifacts straight into the pipeline's own store).
 """
 
 import pytest
@@ -26,38 +25,30 @@ def reference_sweep():
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
-@pytest.mark.parametrize("transport", ["envelope", "pickle"])
-def test_transport_and_worker_count_change_nothing(reference_sweep,
-                                                   workers, transport):
+def test_worker_count_changes_nothing(reference_sweep, workers):
     runner, scenarios, reference = reference_sweep
     sweep = run_validation(scenarios, runner, seed=0, trials=2,
-                           baseline=True, workers=workers,
-                           transport=transport)
+                           baseline=True, workers=workers)
     assert sweep.render() == reference
     assert sweep.fallback_reason is None
     if workers > 1:
         assert sweep.workers_used > 1
-        assert sweep.transport["transport"] == transport
-        # results crossed the boundary: both transports account bytes
+        assert sweep.transport["transport"] == "pool"
+        # jobs crossed the process boundary and came back
         assert sweep.transport["ipc_bytes_sent"] > 0
+        assert sweep.transport["ipc_bytes_recv"] > 0
 
 
 def test_envelope_moves_bulk_results_out_of_the_pipe(reference_sweep):
-    """The envelope sweep's pipe traffic must be a small fraction of
-    the pickle sweep's — bulk artifacts travel through the store."""
+    """Bulk results travel through the store: the pipe carries only
+    envelopes and small results, a fraction of the artifact bytes."""
     runner, scenarios, reference = reference_sweep
-    env = run_validation(scenarios, runner, seed=0, trials=2,
-                         baseline=True, workers=2, transport="envelope")
-    pick = run_validation(scenarios, runner, seed=0, trials=2,
-                          baseline=True, workers=2, transport="pickle")
-    assert env.render() == pick.render() == reference
-    assert env.transport["envelope_count"] > 0
-    assert pick.transport["envelope_count"] == 0
-    env_pipe = (env.transport["ipc_bytes_sent"]
-                + env.transport["ipc_bytes_recv"])
-    pick_pipe = (pick.transport["ipc_bytes_sent"]
-                 + pick.transport["ipc_bytes_recv"])
-    assert env_pipe < pick_pipe / 4
+    sweep = run_validation(scenarios, runner, seed=0, trials=2,
+                           baseline=True, workers=2)
+    assert sweep.render() == reference
+    stats = sweep.transport
+    assert stats["envelope_count"] > 0
+    assert stats["ipc_bytes_recv"] < stats["artifact_bytes"] / 4
 
 
 def test_envelope_with_disk_cache_warm_rerun_zero_recompute(tmp_path):
@@ -66,12 +57,12 @@ def test_envelope_with_disk_cache_warm_rerun_zero_recompute(tmp_path):
     def sweep(pipeline):
         return run_validation([PorterScenario()], runner, seed=0,
                               trials=1, baseline=True, workers=2,
-                              transport="envelope", cache=pipeline)
+                              cache=pipeline)
 
     cold = sweep(Pipeline(str(tmp_path)))
     assert cold.cache_misses > 0 and cold.cache_hits == 0
-    # the envelope transport wrote binary-framed objects into the
-    # pipeline's own store — no separate IPC staging copies
+    # workers wrote binary-framed objects into the pipeline's own
+    # store — no separate IPC staging copies
     assert list((tmp_path / "objects").glob("*/*.rba"))
 
     warm = sweep(Pipeline(str(tmp_path)))
