@@ -11,12 +11,11 @@ Produces ``BENCH_runtime.json`` at the repo root, characterizing the
   This is the number that must not regress now that validate, check,
   golden and fuzz all route through one generic scheduler instead of
   the old trial-specific pool loop.
-* ``echo micro`` — per-job round-trip cost of the pure runtime on
-  every backend (serial inline, warm pool, one-host ``local:N``
-  fleet), measured with the zero-work ``echo`` job kind, so backend
-  overhead is visible without simulation noise.
-* ``backend equivalence`` — the pool and fleet sweeps must render the
-  serial sweep's table byte for byte.
+* ``echo micro`` — per-job round-trip cost of the pure runtime, serial
+  inline vs the warm pool, measured with the zero-work ``echo`` job
+  kind, so backend overhead is visible without simulation noise.
+* ``backend equivalence`` — the pool sweep must render the serial
+  sweep's table byte for byte.
 
 Full mode adds a ``check`` leg (two scenarios through the invariant
 pipeline, serial vs parallel) to record the end-to-end speedup of the
@@ -35,7 +34,7 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -63,11 +62,11 @@ def _echo_jobs(count: int) -> List[Job]:
                 cost_hint=0.1) for i in range(count)]
 
 
-def bench_sweep(ftp_bytes: int, trials: int, workers: int,
-                hosts: Optional[str] = None) -> Dict[str, object]:
+def bench_sweep(ftp_bytes: int, trials: int,
+                workers: int) -> Dict[str, object]:
     """One warmed validation sweep; dispatch_ns vs wall."""
     runner = FtpRunner(nbytes=ftp_bytes)
-    exe = TrialExecutor(workers=workers, hosts=hosts)
+    exe = TrialExecutor(workers=workers)
     try:
         # Untimed warm-up: pool start, registry + import heat.
         run_validation([ALL_SCENARIOS[0]], runner, seed=0, trials=1,
@@ -93,12 +92,10 @@ def bench_sweep(ftp_bytes: int, trials: int, workers: int,
 
 
 def bench_echo(count: int, workers: int) -> Dict[str, object]:
-    """Per-job runtime cost with zero-work jobs, every backend."""
+    """Per-job runtime cost with zero-work jobs, serial vs pool."""
     out: Dict[str, object] = {}
-    for name, kwargs in (("serial", {"workers": 1}),
-                         ("pool", {"workers": workers}),
-                         ("fleet", {"hosts": f"local:{workers}"})):
-        exe = Scheduler(**kwargs)
+    for name, width in (("serial", 1), ("pool", workers)):
+        exe = Scheduler(workers=width)
         try:
             exe.map_jobs(_echo_jobs(8))        # warm the backend
             t0 = time.perf_counter()
@@ -151,7 +148,7 @@ def main(argv=None) -> int:
     ap.add_argument("--fail-on-regression", action="store_true",
                     help="exit non-zero if dispatch overhead exceeds "
                          f"{DISPATCH_OVERHEAD_LIMIT:.0%} of sweep wall "
-                         "or any backend renders a different table")
+                         "or the pool renders a different table")
     args = ap.parse_args(argv)
 
     ftp_bytes, trials = (200_000, 2) if args.quick else (2_000_000, 4)
@@ -164,15 +161,9 @@ def main(argv=None) -> int:
     pool = bench_sweep(ftp_bytes, trials, args.workers)
     print(f"  pool    {pool['wall_seconds']:6.2f}s "
           f"dispatch {pool['dispatch_fraction']:.3%}")
-    fleet = bench_sweep(ftp_bytes, trials, args.workers,
-                        hosts=f"local:{args.workers}")
-    print(f"  fleet   {fleet['wall_seconds']:6.2f}s "
-          f"dispatch {fleet['dispatch_fraction']:.3%}")
 
-    tables_identical = (serial["table"] == pool["table"]
-                        == fleet["table"])
-    overhead = max(leg["dispatch_fraction"]
-                   for leg in (serial, pool, fleet))
+    tables_identical = serial["table"] == pool["table"]
+    overhead = max(leg["dispatch_fraction"] for leg in (serial, pool))
 
     print(f"echo micro ({echo_count} jobs per backend)...")
     echo_legs = bench_echo(echo_count, args.workers)
@@ -191,8 +182,7 @@ def main(argv=None) -> int:
         },
         "sweep_legs": {
             name: {k: v for k, v in leg.items() if k != "table"}
-            for name, leg in (("serial", serial), ("pool", pool),
-                              ("fleet", fleet))
+            for name, leg in (("serial", serial), ("pool", pool))
         },
         "echo_legs": echo_legs,
         "dispatch_overhead_fraction": round(overhead, 5),

@@ -153,22 +153,13 @@ def _execution_parent() -> argparse.ArgumentParser:
                        help="append this command's run manifest "
                             "(workers, backend counters, cache, wall "
                             "clock, output hash) to DIR/ledger.jsonl")
-    group.add_argument("--hosts", default=None, metavar="SPEC",
-                       help="distribute over a worker fleet: "
-                            "'a:4,b:8' (host:workers, 'local' for "
-                            "pseudo-hosts on this machine) or a path "
-                            "to a TOML hosts file; overrides "
-                            "--workers (results stay byte-identical "
-                            "to serial)")
     return parent
 
 
 def _session_executor(session: RuntimeSession):
     """The session's scheduler when the flags ask for more than one
-    worker or for a fleet, else ``None`` (the command's plain serial
-    path)."""
-    config = session.config
-    if (config.workers or 1) > 1 or config.hosts:
+    worker, else ``None`` (the command's plain serial path)."""
+    if (session.config.workers or 1) > 1:
         return session.scheduler()
     return None
 

@@ -33,7 +33,6 @@ from .telemetry import (
     SweepProgress,
     SweepTelemetry,
     aggregate_profiles,
-    fold_fleet,
     fold_records,
     merged_chrome_trace,
     render_profile_table,
@@ -78,7 +77,6 @@ __all__ = [
     "SweepProgress",
     "SweepTelemetry",
     "aggregate_profiles",
-    "fold_fleet",
     "fold_records",
     "merged_chrome_trace",
     "render_profile_table",

@@ -72,7 +72,6 @@ __all__ = [
     "aggregate_profiles",
     "render_profile_table",
     "engine_rollup",
-    "fold_fleet",
     "fold_records",
     "sweep_registry",
     "sweep_ledger_record",
@@ -607,74 +606,6 @@ def fold_records(registry: MetricsRegistry,
         registry.gauge("engine.events_per_sec",
                        help="Fired events per wall second, all trials"
                        ).set(float(rollup["events_per_sec"]))
-    fold_fleet(registry, records)
-    return registry
-
-
-def fold_fleet(registry: MetricsRegistry,
-               records: Sequence[Dict[str, Any]]) -> MetricsRegistry:
-    """Fold per-node fleet contribution out of run-ledger manifests.
-
-    Distributed runs record ``transport.backend`` (per-node chunk/job
-    counts, artifact-sync bytes, busy wall) in their ledger records;
-    this rolls those up into ``fleet.*`` counters — per-node series
-    plus fleet totals and a utilization gauge (node busy time over
-    fleet capacity, summed across manifests) — so ``repro metrics
-    DIR/ledger.jsonl`` answers "how evenly did the fleet pull?"."""
-    busy_s = 0.0
-    capacity_s = 0.0
-    seen = False
-    for record in records:
-        transport = record.get("transport") or {}
-        backend = transport.get("backend") or {}
-        nodes = backend.get("nodes")
-        if not nodes:
-            continue
-        seen = True
-        workers = 0
-        for node in nodes:
-            name = str(node.get("host", "?"))
-            for counter in ("chunks", "jobs", "bytes_fetched",
-                            "bytes_pushed"):
-                registry.counter(
-                    f"fleet.node.{name}.{counter}",
-                    help="Per-node fleet contribution",
-                ).inc(int(node.get(counter, 0)))
-                registry.counter(
-                    f"fleet.{counter}",
-                    help="Summed fleet contribution across nodes",
-                ).inc(int(node.get(counter, 0)))
-            registry.counter(
-                f"fleet.node.{name}.busy_ms",
-                help="Per-node busy wall, ms",
-            ).inc(int(float(node.get("wall_s", 0.0)) * 1e3))
-            busy_s += float(node.get("wall_s", 0.0))
-            workers += int(node.get("workers", 0))
-        for counter in ("redispatches", "workers_lost"):
-            registry.counter(
-                f"fleet.{counter}",
-                help="Fleet recovery counter across manifests",
-            ).inc(int(backend.get(counter, 0)))
-        sync = backend.get("sync") or {}
-        for counter in ("fetch_requests", "unique_keys_fetched"):
-            if counter in sync:
-                registry.counter(
-                    f"fleet.sync.{counter}",
-                    help="Artifact-sync counter across manifests",
-                ).inc(int(sync.get(counter, 0)))
-        wall = float(record.get("wall_s") or 0.0)
-        capacity_s += wall * workers
-    if seen:
-        registry.gauge("fleet.nodes",
-                       help="Distinct fleet nodes seen").set(float(
-            len([n for n in registry._counters
-                 if n.startswith("fleet.node.")
-                 and n.endswith(".chunks")])))
-        if capacity_s > 0:
-            registry.gauge(
-                "fleet.utilization",
-                help="Node busy time over fleet capacity",
-            ).set(round(busy_s / capacity_s, 6))
     return registry
 
 

@@ -4,26 +4,19 @@ A backend is the *mechanism* under the scheduler: it owns worker
 lifecycle (spawn, warm-up, teardown) and moves opaque chunk frames to
 workers and back.  Everything above it — chunking, ordering, caching,
 retry, result rehydration — lives in :mod:`repro.runtime.scheduler`
-and is backend-agnostic, which is what makes every backend produce
-byte-identical results.
+and is backend-agnostic, which is what makes the pool produce results
+byte-identical to serial execution.
 
-There are two backends, and the scheduler picks one from what the
-caller already says: ``hosts`` given means the multi-node
-:class:`~repro.runtime.remote.RemoteBackend` fleet; otherwise more than
-one worker means :class:`PoolBackend`, a warm ``ProcessPoolExecutor``;
-one worker and no hosts means no backend at all (jobs run inline in
-the parent).  The fleet lives in :mod:`repro.runtime.remote` and
-builds on the wire framing (:func:`send_frame` / :func:`recv_frame`)
-and error taxonomy defined here.
+There is one backend: more than one worker means :class:`PoolBackend`,
+a warm ``ProcessPoolExecutor``; one worker means no backend at all
+(jobs run inline in the parent).  :class:`Backend` is the protocol the
+scheduler codes against (tests substitute fakes through it).
 
-The worker-side entry point :func:`execute_wire_chunk` is shared by
-both backends: it decodes a chunk frame, resolves each job's runner
-by reference, executes, seals bulk results into the worker's store
-(the envelope data plane), and returns per-job
-:class:`~repro.runtime.job.JobResult` frames plus the chunk's
-telemetry spans, together with the store keys the chunk sealed — so
-the fleet learns where each artifact lives without opening the reply
-payload.
+The worker-side entry point :func:`execute_wire_chunk` decodes a chunk
+frame, resolves each job's runner by reference, executes, seals bulk
+results into the shared store (the envelope data plane), and returns
+per-job :class:`~repro.runtime.job.JobResult` frames plus the chunk's
+telemetry spans.
 """
 
 from __future__ import annotations
@@ -32,12 +25,10 @@ import gc
 import os
 import pickle
 import signal
-import socket
-import struct
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ..obs.telemetry import (
     capture_begin,
@@ -54,21 +45,21 @@ __all__ = [
     "Backend",
     "BackendBroken",
     "BackendUnavailable",
-    "PROTOCOL_VERSION",
     "PoolBackend",
     "execute_wire_chunk",
+    "pool_width",
     "worker_store",
 ]
 
 
 class BackendUnavailable(RuntimeError):
     """The backend cannot start in this environment (restricted
-    sandbox, missing semaphores, no sockets).  The scheduler degrades
+    sandbox, missing semaphores).  The scheduler degrades
     to serial execution and records why."""
 
 
 class BackendBroken(RuntimeError):
-    """The backend died mid-flight (worker crash, closed socket).  The
+    """The backend died mid-flight (worker crash, closed pipe).  The
     scheduler re-executes affected jobs in the parent process."""
 
 
@@ -125,7 +116,7 @@ def _worker_init(store_root: Optional[str]) -> None:
 
 
 # Results whose encoded artifact is smaller than this ride the backend
-# pipe/socket inline: below it, a store write + parent read + digest
+# pipe inline: below it, a store write + parent read + digest
 # check costs more than just shipping the bytes.  Bulk artifacts
 # (trace record lists, distillation results) sit far above it.
 _ENVELOPE_MIN_BYTES = 4096
@@ -161,18 +152,16 @@ def _seal(result: Any, key: str, kind: str) -> JobResult:
 
 def execute_wire_chunk(wire: bytes,
                        telemetry_ctx: Optional[Tuple[str, int]] = None
-                       ) -> Tuple[bytes, List[str], int]:
+                       ) -> bytes:
     """Run a chunk of jobs in one backend round-trip.
 
     ``wire`` is a pickled list of ``(runner_ref, kind, label, payload,
-    key)`` tuples.  Returns ``(reply, sealed_keys, njobs)``: ``reply``
-    is a pickled ``(results, spans_blob)`` pair — per-item
-    :class:`~repro.runtime.job.JobResult` frames aligned with the
-    input, plus the chunk's stage spans as one codec frame (or
-    ``None`` when telemetry is off); ``sealed_keys`` names every store
-    artifact this chunk parked in the worker's store.  Pickling is done
-    here, not by the backend, so the parent can count the exact bytes
-    that crossed the process boundary.
+    key)`` tuples.  Returns a pickled ``(results, spans_blob)`` pair:
+    per-item :class:`~repro.runtime.job.JobResult` frames aligned with
+    the input, plus the chunk's stage spans as one codec frame (or
+    ``None`` when telemetry is off).  Pickling is done here, not by
+    the backend, so the parent can count the exact bytes that crossed
+    the process boundary.
 
     ``telemetry_ctx`` is ``(sweep_id, submit_ns)``: its presence turns
     span capture on for this chunk, and ``submit_ns`` (the parent's
@@ -189,7 +178,6 @@ def execute_wire_chunk(wire: bytes,
         chunk_tok = span_begin()
     items: List[Tuple[str, str, str, Any, str]] = pickle.loads(wire)
     out: List[JobResult] = []
-    sealed: List[str] = []
     for runner_ref, kind, label, payload, key in items:
         tok = span_begin()
         try:
@@ -201,10 +189,7 @@ def execute_wire_chunk(wire: bytes,
             continue
         span_end(tok, kind, label)
         if _WORKER_STORE is not None:
-            job_result = _seal(result, key, kind)
-            if job_result.envelope is not None:
-                sealed.append(job_result.envelope.key)
-            out.append(job_result)
+            out.append(_seal(result, key, kind))
         else:
             out.append(JobResult.of(result))
     spans_blob = None
@@ -219,44 +204,7 @@ def execute_wire_chunk(wire: bytes,
         if _worker_chunks_since_gc >= _GC_CHUNKS_PER_SWEEP:
             _worker_chunks_since_gc = 0
             gc.collect()
-    return wire_out, sealed, len(items)
-
-
-# ======================================================================
-# Wire framing (shared with repro.runtime.worker)
-# ======================================================================
-# The fleet wire protocol's version, carried in every worker's hello
-# frame; the parent refuses any other.
-PROTOCOL_VERSION = 3
-
-_FRAME_HEADER = struct.Struct("<Q")
-
-
-def send_frame(sock: socket.socket, obj: Any) -> int:
-    """Pickle ``obj`` and send it length-prefixed; returns frame size."""
-    blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    sock.sendall(_FRAME_HEADER.pack(len(blob)) + blob)
-    return len(blob)
-
-
-def recv_frame(sock: socket.socket) -> Any:
-    """Receive one length-prefixed pickled frame (raises
-    :class:`BackendBroken` on a short read — the peer went away)."""
-    header = _recv_exact(sock, _FRAME_HEADER.size)
-    (length,) = _FRAME_HEADER.unpack(header)
-    return pickle.loads(_recv_exact(sock, length))
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise BackendBroken("socket closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+    return wire_out
 
 
 # ======================================================================
@@ -268,15 +216,13 @@ class Backend:
     ``start`` receives the store root workers seal results into and
     must raise :class:`BackendUnavailable` if this environment cannot
     host the backend.  ``submit`` takes the opaque chunk frame produced
-    by the scheduler, the telemetry context and the store keys the
-    chunk's jobs read, and returns a future resolving to what
-    :func:`execute_wire_chunk` returned in the worker; a dead backend
-    surfaces as :class:`BackendBroken` (or ``BrokenProcessPool``)
-    either from ``submit`` or from the future.  ``shutdown(cancel=True)``
-    additionally drops chunks that have not started (the Ctrl-C path).
-    ``stats`` and ``fetch_artifact`` are for backends whose workers keep
-    private stores; the defaults say there is nothing to report or
-    fetch.
+    by the scheduler and the telemetry context, and returns a future
+    resolving to what :func:`execute_wire_chunk` returned in the
+    worker; a dead backend surfaces as :class:`BackendBroken` (or
+    ``BrokenProcessPool``) either from ``submit`` or from the future.
+    ``shutdown(cancel=True)`` additionally drops chunks that have not
+    started (the Ctrl-C path).  ``shutdown`` joins the backend's
+    threads, so it is never called from one of them.
     """
 
     name = "backend"
@@ -288,31 +234,30 @@ class Backend:
         raise NotImplementedError
 
     def submit(self, wire: bytes,
-               telemetry_ctx: Optional[Tuple[str, int]],
-               refs: Sequence[str]) -> Future:
+               telemetry_ctx: Optional[Tuple[str, int]]) -> Future:
         raise NotImplementedError
 
     def shutdown(self, cancel: bool = False) -> None:
         raise NotImplementedError
 
-    def stats(self) -> Optional[Dict[str, Any]]:
-        return None
 
-    def fetch_artifact(self, key: str,
-                       digest: Optional[str] = None) -> Optional[bytes]:
-        return None
+def pool_width(workers: int) -> int:
+    """How many processes a pool of ``workers`` actually runs.
+
+    Capped at core count + 1: heavy oversubscription cannot finish
+    CPU-bound jobs sooner — it only time-slices them, which *stretches
+    the longest job* (the sweep's critical path) while cheap work
+    drains around it.  One extra worker beyond the core count soaks up
+    the slack whenever a sibling blocks on store I/O (the ``make -j
+    N+1`` rule).
+    """
+    workers = max(1, int(workers))
+    return min(workers, (os.cpu_count() or workers) + 1)
 
 
 class PoolBackend(Backend):
-    """The warm GC-frozen ``ProcessPoolExecutor`` (PR-5 lineage).
-
-    ``workers`` is capped at core count + 1: heavy oversubscription
-    cannot finish CPU-bound jobs sooner — it only time-slices them,
-    which *stretches the longest job* (the sweep's critical path)
-    while cheap work drains around it.  One extra worker beyond the
-    core count soaks up the slack whenever a sibling blocks on store
-    I/O (the ``make -j N+1`` rule).
-    """
+    """The warm GC-frozen ``ProcessPoolExecutor``, :func:`pool_width`
+    processes wide."""
 
     name = "pool"
 
@@ -321,8 +266,7 @@ class PoolBackend(Backend):
         self._pool: Optional[ProcessPoolExecutor] = None
 
     def pool_size(self) -> int:
-        cores = os.cpu_count() or self.workers
-        return max(1, min(self.workers, cores + 1))
+        return pool_width(self.workers)
 
     def start(self, store_root: Optional[str]) -> None:
         if self._pool is not None:
@@ -337,10 +281,7 @@ class PoolBackend(Backend):
                 f"pool unavailable: {type(exc).__name__}: {exc}")
 
     def submit(self, wire: bytes,
-               telemetry_ctx: Optional[Tuple[str, int]],
-               refs: Sequence[str]) -> Future:
-        # Pool workers share the parent's store: ``refs`` are already
-        # there.
+               telemetry_ctx: Optional[Tuple[str, int]]) -> Future:
         if self._pool is None:
             raise BackendBroken("pool backend not started")
         try:

@@ -8,9 +8,8 @@ actually needs to know:
 ``runner``
     A ``"module:qualname"`` reference to a module-level function
     ``fn(payload) -> result``.  Shipping the *reference* (not the
-    function) keeps jobs picklable by value and lets freshly spawned
-    worker processes (the fleet's) resolve the same function by
-    import.  Resolution is memoized per process.
+    function) keeps jobs picklable by value and lets worker processes resolve
+    the same function by import.  Resolution is memoized per process.
 ``payload`` / ``wire_payload``
     The runner's argument.  ``payload`` is what in-process execution
     uses (it may hold live handles like an open
@@ -40,7 +39,7 @@ returns.
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 __all__ = [
@@ -78,12 +77,6 @@ class Job:
     cost_hint: float = 1.0
     # The payload shipped to workers (see module docstring).
     wire_payload: Any = None
-    # Store keys the wire payload references (e.g. a modulated
-    # trial's ``replay_ref``).  Multi-node backends sync these to a
-    # node's private store — deduplicated with HAVE frames — before
-    # dispatching the chunk there; single-machine backends, whose
-    # workers share the parent's store, ignore them.
-    input_refs: tuple = ()
 
     def span_label(self) -> str:
         """How this job appears in the sweep timeline."""

@@ -17,7 +17,7 @@ interleaved with trial code in ``validation/parallel.py``:
 * **ordering guarantees** — futures align index-for-index with the
   submitted batch, and results are read in submission order, never in
   completion order;
-* **retry on backend break** — a dead pool or socket drops the
+* **retry on backend break** — a dead pool drops the
   scheduler to in-process execution of the affected jobs (and every
   later submission) with the reason recorded, never a wrong result;
 * **result rehydration** — envelopes coming back from workers are
@@ -28,11 +28,11 @@ interleaved with trial code in ``validation/parallel.py``:
   cleanly before propagating (the CLI turns it into exit 130).
 
 The determinism contract is inherited from the jobs themselves: for
-any worker count, any backend, and every fallback path,
+any worker count and every fallback path,
 results are byte-identical to serial execution because every job is
 executed by the same pure runner with the same payload, the codec
 round-trip is exact, and results are reassembled in submission order.
-The only freedom a backend has is *wall-clock* completion order, which
+The only freedom the pool has is *wall-clock* completion order, which
 is never observed.
 
 :class:`Scheduler` exposes the generic surface (``submit_jobs`` /
@@ -54,8 +54,7 @@ import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.registry import MetricsRegistry
 from ..obs.telemetry import SweepProgress, SweepTelemetry, unpack_spans
@@ -65,17 +64,15 @@ from .backends import (
     BackendBroken,
     BackendUnavailable,
     PoolBackend,
+    pool_width,
 )
-from .hosts import HostSpec, load_hosts_file, parse_hosts
 from .job import Job, JobResult, ResultEnvelope, resolve_runner
-from .remote import RemoteBackend
 
 __all__ = [
     "CHUNK_THRESHOLD",
     "JobFuture",
     "Scheduler",
     "default_workers",
-    "resolve_hosts",
 ]
 
 # Jobs whose cost hint is below this travel together in one chunked
@@ -87,24 +84,6 @@ CHUNK_THRESHOLD = 100.0
 def default_workers() -> int:
     """Worker count used when the caller does not pin one."""
     return os.cpu_count() or 1
-
-
-def resolve_hosts(hosts: Union[str, Sequence[HostSpec], None]
-                  ) -> Optional[List[HostSpec]]:
-    """Normalize a ``hosts`` argument: ``None`` stays ``None``, a list
-    of specs passes through, a string is either a TOML hosts-file path
-    (ends in ``.toml`` or starts with ``@``) or an inline ``a:4,b:8``
-    expression."""
-    if hosts is None:
-        return None
-    if isinstance(hosts, str):
-        text = hosts.strip()
-        if text.startswith("@"):
-            return load_hosts_file(Path(text[1:]))
-        if text.endswith(".toml"):
-            return load_hosts_file(Path(text))
-        return parse_hosts(text)
-    return list(hosts)
 
 
 def _stamp_sweep(payload: Any, sweep_id: str) -> Any:
@@ -137,7 +116,7 @@ class _ChunkHandle:
 
     def payload(self, scheduler: Optional["Scheduler"]) -> List[JobResult]:
         if self._payload is None:
-            raw = self.future.result()[0]
+            raw = self.future.result()
             if scheduler is not None:
                 scheduler.metrics.counter(
                     "executor.ipc_bytes_recv").inc(len(raw))
@@ -303,23 +282,13 @@ class JobFuture:
 
     def _rehydrate(self, env: ResultEnvelope):
         """Decode an envelope's artifact from the shared store; on any
-        integrity problem return ``_UNSET`` so the caller recomputes.
-
-        On a multi-node backend the parent store starts *empty* — the
-        artifact was sealed into the executing node's private store —
-        so a miss first goes through the backend's fingerprint-keyed
-        ``fetch_artifact`` (FETCH frames, parent-store dedup) before
-        falling back to recomputation."""
+        integrity problem return ``_UNSET`` so the caller recomputes."""
         sched = self._scheduler
         store = sched._ipc_store if sched is not None else None
         if store is None:
             return self._UNSET
         t0 = time.perf_counter_ns()
         found, blob = store.raw_get(env.key)
-        if not found and sched._backend is not None:
-            fetched = sched._backend.fetch_artifact(env.key, env.digest)
-            if fetched is not None:
-                found, blob = True, fetched
         if not found or codec.content_digest(blob) != env.digest:
             sched._note_fallback(f"envelope {env.key[:12]}...: artifact "
                                  f"missing or digest mismatch")
@@ -344,21 +313,12 @@ class JobFuture:
 class Scheduler:
     """Order-preserving job execution with a backend under it.
 
-    The backend follows from the arguments:
-
-    * ``hosts`` given — the multi-node fleet of
-      :mod:`repro.runtime.remote` (``workers`` is then the fleet's
-      total width);
-    * otherwise ``workers > 1`` — the warm process pool;
-    * otherwise (``workers=1``) — no backend: jobs run in process.
-
-    ``workers=None`` sizes the pool to the machine.  A backend that
-    cannot start (restricted sandboxes, missing semaphores, no
-    sockets) degrades to in-process serial execution of the very same
-    runner calls.  ``hosts`` takes an ``"a:4,b:8"`` expression, a TOML
-    hosts-file path, or a prepared
-    :class:`~repro.runtime.hosts.HostSpec` list.  Both backends hand
-    bulk results back through a store (small ones ride the pipe).
+    ``workers > 1`` runs jobs on the warm process pool; ``workers=1``
+    runs them in process, with no backend.  ``workers=None`` sizes the
+    pool to the machine.  A pool that cannot start (restricted
+    sandboxes, missing semaphores) degrades to in-process serial
+    execution of the very same runner calls.  The pool hands bulk
+    results back through a shared store (small ones ride the pipe).
     ``submit_jobs`` returns futures aligned index-for-index with the
     batch; ``map_jobs`` reads them in submission order regardless of
     completion order — which is what makes parallel runs bit-identical
@@ -382,14 +342,9 @@ class Scheduler:
     """
 
     def __init__(self, workers: Optional[int] = None,
-                 pipeline: Optional[Pipeline] = None,
-                 hosts: Union[str, Sequence[HostSpec], None] = None):
+                 pipeline: Optional[Pipeline] = None):
         self.workers = (default_workers() if workers is None
                         else max(1, int(workers)))
-        self.hosts = resolve_hosts(hosts)
-        if self.hosts is not None:
-            # The fleet defines the width.
-            self.workers = sum(h.workers for h in self.hosts)
         self.pipeline = pipeline
         self.metrics = MetricsRegistry()
         self.fallback_reason: Optional[str] = None
@@ -405,9 +360,7 @@ class Scheduler:
         if pipeline is not None:
             self.metrics.add_collector(pipeline.collector(), key="pipeline")
         self._backend: Optional[Backend] = None
-        # One worker and no fleet runs serially; a one-worker fleet
-        # still goes over the wire.
-        self._serial_fallback = self.hosts is None and self.workers <= 1
+        self._serial_fallback = self.workers <= 1
         self._transport_used = "serial"
         self._ipc_store: Optional[ArtifactStore] = None
         self._ipc_root: Optional[str] = None
@@ -426,7 +379,6 @@ class Scheduler:
         self._repump = False
         self._inflight = 0
         self._heap_seq = 0
-        self._backend_stats: Optional[Dict[str, Any]] = None
 
     # -- lifecycle ------------------------------------------------------
     def __enter__(self) -> "Scheduler":
@@ -452,20 +404,13 @@ class Scheduler:
         self._flush_pending_inline()
         backend, self._backend = self._backend, None
         if backend is not None:
-            self._capture_backend_stats(backend)
             backend.shutdown(cancel=True)
 
     def _close_backend(self) -> None:
         self._flush_pending_inline()
-        if self._backend is not None:
-            self._capture_backend_stats(self._backend)
-            self._backend.shutdown()
-            self._backend = None
-
-    def _capture_backend_stats(self, backend: Backend) -> None:
-        stats = backend.stats()
-        if stats is not None:
-            self._backend_stats = stats
+        backend, self._backend = self._backend, None
+        if backend is not None:
+            backend.shutdown()
 
     def _flush_pending_inline(self) -> None:
         """Release every not-yet-dispatched slot to the in-process
@@ -476,8 +421,15 @@ class Scheduler:
         for _cost, _seq, _job, slot in pending:
             slot.release_inline()
 
-    def _mark_broken(self, exc: Optional[BaseException] = None) -> None:
-        """Drop to serial for every later submission (backend died)."""
+    def _mark_broken(self, exc: Optional[BaseException] = None,
+                     join: bool = True) -> None:
+        """Drop to serial for every later submission (backend died).
+
+        ``join=False`` is for a break noticed on one of the backend's
+        own threads (a completion callback): it records the break and
+        releases every pending slot, but leaves the backend for the
+        reading thread or :meth:`shutdown` to close — shutting a pool
+        down joins the very thread the callback runs on."""
         reason = "process pool broke"
         if exc is not None:
             if isinstance(exc, BackendBroken):
@@ -487,7 +439,10 @@ class Scheduler:
         self.pool_broken = True
         self._note_fallback(reason)
         self._serial_fallback = True
-        self._close_backend()
+        if join:
+            self._close_backend()
+        else:
+            self._flush_pending_inline()
 
     def _note_fallback(self, reason: str) -> None:
         """Count one in-process fallback; keep every distinct reason."""
@@ -507,20 +462,13 @@ class Scheduler:
 
     @property
     def transport_used(self) -> str:
-        """``"serial"`` until a backend carries work, then that
-        backend's name (``"pool"`` or ``"remote"``)."""
+        """``"serial"`` until the pool carries work, then ``"pool"``."""
         return self._transport_used
 
     def transport_stats(self) -> Dict[str, Any]:
-        """Snapshot of the scheduler's data-plane counters.  A backend
-        with its own accounting (the multi-node fleet: per-node
-        contribution, redispatches, artifact-sync volume) appears under
-        ``"backend"``; the snapshot survives backend shutdown."""
+        """Snapshot of the scheduler's data-plane counters."""
         metrics = self.metrics
-        backend_stats = self._backend_stats
-        if self._backend is not None:
-            backend_stats = self._backend.stats() or backend_stats
-        stats_dict = {
+        return {
             "transport": self._transport_used,
             "workers": self.effective_workers,
             "envelope_count":
@@ -540,9 +488,6 @@ class Scheduler:
             "fallback_reasons": list(self.fallback_reasons),
             "pool_broken": self.pool_broken,
         }
-        if backend_stats is not None:
-            stats_dict["backend"] = backend_stats
-        return stats_dict
 
     # -- execution ------------------------------------------------------
     def submit_job(self, job: Job) -> JobFuture:
@@ -622,13 +567,11 @@ class Scheduler:
         return max(1, min(8, math.ceil(n_cheap / (self._pool_size() * 2))))
 
     def _pool_size(self) -> int:
-        """Actual backend width (see the backends' ``pool_size``)."""
-        if self._backend is not None:
-            return self._backend.pool_size()
-        if self.hosts is not None:
-            return self.workers
-        cores = os.cpu_count() or self.workers
-        return max(1, min(self.workers, cores + 1))
+        """Actual backend width (see :func:`pool_width`)."""
+        backend = self._backend
+        if backend is not None:
+            return backend.pool_size()
+        return pool_width(self.workers)
 
     def _inflight_limit(self) -> int:
         """How many chunks may be dispatched at once: the backend's
@@ -638,15 +581,15 @@ class Scheduler:
         pool = self._pool_size()
         return pool + max(2, pool // 2)
 
-    def _pump(self) -> None:
+    def _pump(self, on_backend_thread: bool = False) -> None:
         """Dispatch pending chunks up to the in-flight window.
 
         Callable from any thread (completion callbacks run on backend
-        threads): the lock is taken non-blocking, and a contender hands
-        its request to the current holder via the repump flag instead
-        of waiting — the holder re-runs until no request is pending, so
-        no dispatch opportunity is ever lost and no backend thread ever
-        blocks here.
+        threads, and pass ``on_backend_thread``): the lock is taken
+        non-blocking, and a contender hands its request to the current
+        holder via the repump flag instead of waiting — the holder
+        re-runs until no request is pending, so no dispatch opportunity
+        is ever lost and no backend thread ever blocks here.
         """
         while True:
             if not self._pump_lock.acquire(blocking=False):
@@ -658,7 +601,7 @@ class Scheduler:
             finally:
                 self._pump_lock.release()
             if broken is not None:
-                self._mark_broken(broken)
+                self._mark_broken(broken, join=not on_backend_thread)
                 return
             if not self._repump:
                 return
@@ -668,7 +611,8 @@ class Scheduler:
         backend while the in-flight window has room.  Runs with the
         pump lock held; returns the exception when the backend broke
         (handled by the caller outside the lock)."""
-        if self._serial_fallback or self._backend is None:
+        backend = self._backend
+        if self._serial_fallback or backend is None:
             self._release_heap_inline()
             return None
         if not self._pending:
@@ -677,7 +621,7 @@ class Scheduler:
         broken: Optional[BaseException] = None
         while self._pending and self._inflight < self._inflight_limit():
             chunk = self._next_chunk()
-            broken = self._dispatch_chunk(chunk)
+            broken = self._dispatch_chunk(backend, chunk)
             if broken is not None:
                 self._release_heap_inline()
                 break
@@ -703,7 +647,8 @@ class Scheduler:
             chunk.append((j, s))
         return chunk
 
-    def _dispatch_chunk(self, chunk: List[Tuple[Job, _Slot]]
+    def _dispatch_chunk(self, backend: Backend,
+                        chunk: List[Tuple[Job, _Slot]]
                         ) -> Optional[BaseException]:
         """Frame one chunk and submit it.  An unpicklable chunk falls
         its slots to the inline path (not fatal); a backend submission
@@ -711,14 +656,12 @@ class Scheduler:
         pump can mark the whole backend broken."""
         telemetry = self.telemetry
         items: List[Tuple[str, str, str, Any, str]] = []
-        refs: List[str] = []
         for job, _slot in chunk:
             payload = job.for_wire()
             key = job.fingerprint
             if key is None or not self._ipc_shared:
                 key = f"ipc:{self._seq:08d}"
                 self._seq += 1
-            refs.extend(r for r in job.input_refs if r)
             if telemetry is not None:
                 payload = _stamp_sweep(payload, telemetry.sweep_id)
             items.append((job.runner, job.kind, job.span_label(),
@@ -734,10 +677,8 @@ class Scheduler:
         telemetry_ctx = None
         if telemetry is not None:
             telemetry_ctx = (telemetry.sweep_id, time.time_ns())
-        backend = self._backend
         try:
-            future = backend.submit(blob, telemetry_ctx,
-                                    tuple(dict.fromkeys(refs)))
+            future = backend.submit(blob, telemetry_ctx)
         except (BackendBroken, BrokenProcessPool, OSError,
                 RuntimeError) as exc:
             for _job, slot in chunk:
@@ -761,7 +702,7 @@ class Scheduler:
             self._inflight -= 1
         if self.progress is not None:
             self.progress.completed(count)
-        self._pump()
+        self._pump(on_backend_thread=True)
 
     def _ensure_ipc_store(self) -> ArtifactStore:
         """The shared store envelopes travel through: the pipeline's
@@ -782,8 +723,6 @@ class Scheduler:
         return self._ipc_store
 
     def _make_backend(self) -> Backend:
-        if self.hosts is not None:
-            return RemoteBackend(self.hosts)
         return PoolBackend(self.workers)
 
     def _ensure_backend(self) -> Optional[Backend]:

@@ -2,8 +2,8 @@
 
 Every bulk subcommand (``validate``, ``check``, ``fuzz``, golden
 regeneration) needs the same four pieces of plumbing: an artifact
-pipeline over ``--cache-dir``, a scheduler over ``--workers`` /
-``--hosts``, a progress meter over ``--progress``, and a run ledger
+pipeline over ``--cache-dir``, a scheduler over ``--workers``, a
+progress meter over ``--progress``, and a run ledger
 over ``--run-dir``.  :class:`RuntimeSession` owns all four so
 subcommands stop hand-rolling them — and so one warm backend is
 reused when a single invocation runs several phases (``repro check
@@ -67,7 +67,6 @@ class ExecutionConfig:
     cache_dir: Optional[str] = None
     progress: bool = False
     run_dir: Optional[str] = None
-    hosts: Optional[str] = None
 
     @classmethod
     def from_args(cls, args: Any) -> "ExecutionConfig":
@@ -79,7 +78,6 @@ class ExecutionConfig:
             cache_dir=getattr(args, "cache_dir", None),
             progress=bool(getattr(args, "progress", False)),
             run_dir=getattr(args, "run_dir", None),
-            hosts=getattr(args, "hosts", None),
         )
 
 
@@ -121,8 +119,7 @@ class RuntimeSession:
             from ..validation.parallel import TrialExecutor
 
             self._scheduler = TrialExecutor(
-                workers=self.config.workers, pipeline=self.pipeline,
-                hosts=self.config.hosts)
+                workers=self.config.workers, pipeline=self.pipeline)
         return self._scheduler
 
     def progress(self, label: str) -> Optional[SweepProgress]:
@@ -163,7 +160,7 @@ def command_ledger_record(*, command: str, scenarios: Sequence[str],
     :func:`~repro.obs.telemetry.sweep_ledger_record` so ledger readers
     need one parser: kind, scenarios, workers/transport accounting,
     cache accounting, wall clock, and the SHA-256 of the rendered
-    output that pins byte-identity across backends."""
+    output that pins byte-identity across worker counts."""
     record: Dict[str, Any] = {
         "kind": command,
         "scenarios": list(scenarios),

@@ -29,15 +29,15 @@ rehydration machinery lives there.  What stays here:
   :mod:`repro.validation.figures`.
 
 The worker→parent data plane (bulk results handed off through a
-store) and the backend choice (process pool or ``hosts`` fleet) are
-the scheduler's business; see :mod:`repro.runtime.backends`.
+store) and the backend choice (process pool or inline) are the
+scheduler's business; see :mod:`repro.runtime.backends`.
 Modulated trials receive their replay by store reference
 (``replay_ref``) — the job's wire payload strips the materialized
 replay, and each worker memoizes decoded replays, so a distilled
 trace is shipped to each worker process at most once per sweep.
 
-Determinism contract: for any ``workers`` or ``hosts`` value and
-any backend (including every fallback path), results are
+Determinism contract: for any ``workers`` value (including every
+fallback path), results are
 byte-identical to ``workers=1`` because every spec is executed by the
 same pure function with the same arguments, the codec round-trip is
 exact, and results are reassembled in submission order.
@@ -284,17 +284,11 @@ def job_for_spec(spec: TrialSpec) -> Job:
     process boundary at most once per worker.
     """
     wire = None
-    refs: tuple = ()
     if spec.replay is not None and spec.replay_ref is not None:
         wire = replace(spec, replay=None)
-        # Multi-node backends push this store artifact to the
-        # executing node (HAVE-deduplicated) before dispatch, so the
-        # wire spec resolves there exactly as it does on one machine.
-        refs = (spec.replay_ref,)
     return Job(kind=spec.kind, runner=_EXECUTE_TRIAL, payload=spec,
                label=spec.span_label(), fingerprint=spec.fingerprint,
-               cost_hint=spec.cost_hint(), wire_payload=wire,
-               input_refs=refs)
+               cost_hint=spec.cost_hint(), wire_payload=wire)
 
 
 def spec_fingerprint(spec: TrialSpec,
@@ -375,13 +369,12 @@ class TrialExecutor(Scheduler):
 
 def _executor_for(workers: Optional[int],
                   executor: Optional[TrialExecutor],
-                  pipeline: Optional[Pipeline] = None,
-                  hosts=None) -> tuple:
+                  pipeline: Optional[Pipeline] = None) -> tuple:
     """(executor, owns_it): reuse the caller's executor when given.
 
     A given ``pipeline`` is attached to the executor either way (a
     caller-supplied executor keeps its own pipeline if it already has
-    one, and always keeps its own workers and hosts).
+    one, and always keeps its own workers).
     """
     if executor is not None:
         if pipeline is not None and executor.pipeline is None:
@@ -390,8 +383,7 @@ def _executor_for(workers: Optional[int],
             executor.metrics.add_collector(pipeline.collector(),
                                            key="pipeline")
         return executor, False
-    return TrialExecutor(workers=workers, pipeline=pipeline,
-                         hosts=hosts), True
+    return TrialExecutor(workers=workers, pipeline=pipeline), True
 
 
 # ======================================================================
@@ -604,7 +596,6 @@ def run_validation(scenarios: Union[Scenario, Sequence[Scenario]],
                    executor: Optional[TrialExecutor] = None,
                    obs: Optional[ObsConfig] = None,
                    cache=None,
-                   hosts=None,
                    telemetry: Optional[SweepTelemetry] = None,
                    progress: Optional[SweepProgress] = None
                    ) -> ValidationSweep:
@@ -629,16 +620,15 @@ def run_validation(scenarios: Union[Scenario, Sequence[Scenario]],
     artifact caching: every trial is fingerprinted through the pipeline
     stages and looked up before it is executed, so a warm rerun of the
     same sweep recomputes nothing.  With a disk cache workers write
-    their artifacts straight into it.  ``workers`` and ``hosts`` select
-    the backend (see :class:`~repro.runtime.scheduler.Scheduler`).
-    Results are identical with or without a cache, on every backend.
+    their artifacts straight into it.  ``workers`` selects the backend
+    (see :class:`~repro.runtime.scheduler.Scheduler`).  Results are
+    identical with or without a cache, at every worker count.
 
     ``seeds`` widens the sweep into a Monte Carlo workload: the full
     trial protocol repeats for ``seed, seed+1, ..., seed+seeds-1`` and
     every per-metric summary pools all ``seeds × trials`` runs.  The
     default ``seeds=1`` is byte-identical to the pre-``seeds``
-    behavior; ``hosts`` (an ``"a:4,b:8"`` expression, hosts-file path
-    or spec list) routes the sweep onto the multi-node fleet backend.
+    behavior.
     """
     if isinstance(scenarios, Scenario):
         scenarios = [scenarios]
@@ -662,7 +652,7 @@ def run_validation(scenarios: Union[Scenario, Sequence[Scenario]],
         comp = compensation_vb()
     if telemetry is not None:
         telemetry.end(comp_tok, "compensation")
-    exe, owned = _executor_for(workers, executor, pipeline, hosts)
+    exe, owned = _executor_for(workers, executor, pipeline)
     if telemetry is not None:
         exe.telemetry = telemetry
     if progress is not None:

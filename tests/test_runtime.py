@@ -3,14 +3,13 @@
 Three claims, tested end to end through the CLI:
 
 1. **Backend equivalence** — `validate`, `check` and `fuzz` produce
-   byte-identical stdout (and hence identical table SHA-256s) serially,
-   on the warm pool at every worker count, and on a ``--hosts`` fleet.
-   This is the contract that makes ``--workers``/``--hosts`` pure
-   performance knobs.
+   byte-identical stdout (and hence identical table SHA-256s) serially
+   and on the warm pool at every worker count.  This is the contract
+   that makes ``--workers`` a pure performance knob.
 2. **Scheduler semantics** — results merge in submission order no
    matter how chunks are reordered for dispatch, and a broken backend
-   degrades to in-process execution with correct results, never wrong
-   ones.
+   (a fake one, or a real pool worker killed mid-sweep) degrades to
+   in-process execution with correct results, never wrong ones.
 3. **Teardown** — Ctrl-C cancels outstanding work and exits 130; run
    ledgers record workers/backend/output-hash for ``check`` and
    ``fuzz`` like they always have for ``validate``.
@@ -18,7 +17,13 @@ Three claims, tested end to end through the CLI:
 
 import hashlib
 import json
+import logging
+import multiprocessing
+import os
 import re
+import signal
+import threading
+import time
 from concurrent.futures import Future
 
 import pytest
@@ -46,14 +51,11 @@ def _strip_ledger_line(out: str) -> str:
 
 
 # ======================================================================
-# 1. Backend-equivalence matrix: serial == pool == fleet
+# 1. Backend-equivalence matrix: serial == pool
 # ======================================================================
-# Execution flags per row; the backend follows from them.  The "auto"
-# rows run the warm process pool (--workers > 1), the same commands
-# these rows always ran; the "hosts" row runs worker subprocesses over
-# the fleet wire protocol.
-MATRIX = {"auto-2": ["--workers", "2"], "auto-4": ["--workers", "4"],
-          "hosts-2": ["--hosts", "local:2"]}
+# Execution flags per row; both rows run the warm process pool
+# (--workers > 1).
+MATRIX = {"auto-2": ["--workers", "2"], "auto-4": ["--workers", "4"]}
 
 VALIDATE_ARGV = ["validate", "--scenario", "wean", "--benchmark", "ftp",
                  "--ftp-bytes", "50000", "--trials", "2"]
@@ -85,6 +87,14 @@ class TestBackendEquivalence:
         assert out == serial
         assert _sha(out) == _sha(serial)
 
+    def test_validate_seeds_pool(self, capsys):
+        # The Monte Carlo workload: --seeds widens the sweep, and the
+        # widened sweep is still byte-identical serial vs pool.
+        argv = VALIDATE_ARGV + ["--seeds", "2"]
+        serial = _run(capsys, argv + ["--workers", "1"])
+        assert "2 trials x 2 seeds" in serial
+        assert _run(capsys, argv + ["--workers", "2"]) == serial
+
     @pytest.mark.parametrize("flags", MATRIX.values(), ids=MATRIX.keys())
     def test_check_matrix(self, capsys, flags):
         serial = _reference(capsys, "check", CHECK_ARGV)
@@ -104,13 +114,11 @@ class TestBackendEquivalence:
 # 2. Scheduler semantics
 # ======================================================================
 class TestScheduler:
-    # One worker alone runs inline; one worker on a fleet still goes
-    # through the worker protocol.
+    # One worker runs inline; more than one runs the pool.
     @pytest.mark.parametrize("kwargs,backend", [
         ({"workers": 1}, "serial"),
         ({"workers": 2}, "pool"),
-        ({"workers": 1, "hosts": "local:1"}, "remote"),
-    ], ids=["serial", "pool", "remote"])
+    ], ids=["serial", "pool"])
     def test_backend_follows_workers_and_hosts(self, kwargs, backend):
         exe = Scheduler(**kwargs)
         try:
@@ -145,7 +153,7 @@ class TestScheduler:
             def pool_size(self):
                 return 2
 
-            def submit(self, wire, telemetry_ctx, refs):
+            def submit(self, wire, telemetry_ctx):
                 fut = Future()
                 fut.set_exception(OSError("pipe closed"))
                 return fut
@@ -164,6 +172,53 @@ class TestScheduler:
             assert "pool broke" in stats["fallback_reason"]
         finally:
             exe.shutdown()
+
+    def test_killed_pool_worker_falls_back_cleanly(self, caplog):
+        # SIGKILL a real pool worker while chunks are still queued: the
+        # sweep must finish byte-identical to serial through the
+        # in-process fallback, the break noticed on the pool's own
+        # thread must not try to join that thread (which
+        # concurrent.futures would log as a failed callback), and
+        # shutdown() must reap every worker.
+        from repro.scenarios import resolve_scenario
+        from repro.validation import FtpRunner, run_validation
+        from repro.validation.parallel import TrialExecutor
+
+        scenario = resolve_scenario("wean")
+        runner = FtpRunner(nbytes=50000)
+        reference = run_validation(scenario, runner, seed=0, trials=2,
+                                   workers=1).render()
+
+        exe = TrialExecutor(workers=2)
+        killed = []
+
+        def killer():
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() < deadline:
+                children = multiprocessing.active_children()
+                if children and exe._pending:
+                    os.kill(children[0].pid, signal.SIGKILL)
+                    killed.append(children[0].pid)
+                    return
+                time.sleep(0.002)
+
+        thread = threading.Thread(target=killer, daemon=True)
+        with caplog.at_level(logging.DEBUG, logger="concurrent.futures"):
+            thread.start()
+            try:
+                table = run_validation(scenario, runner, seed=0, trials=2,
+                                       executor=exe).render()
+                thread.join(timeout=60.0)
+                stats = exe.transport_stats()
+            finally:
+                exe.shutdown()
+        assert not thread.is_alive()
+        assert killed, "no pool worker appeared to kill"
+        assert table == reference
+        assert stats["pool_broken"] is True
+        assert [r.getMessage() for r in caplog.records
+                if r.name.startswith("concurrent.futures")] == []
+        assert multiprocessing.active_children() == []
 
     def test_keyboard_interrupt_cancels_scheduler(self, monkeypatch):
         exe = Scheduler(workers=1)
@@ -225,11 +280,13 @@ class TestCliRuntime:
         assert record["workers"] == 2
 
     def test_unknown_transport_rejected(self, capsys):
-        # The backend follows from --workers/--hosts; the old backend
-        # selector is now an unknown option.  (Spelled in two pieces so
-        # a search for live uses of the removed flag stays empty.)
-        removed_flag = "--" + "transport"
-        with pytest.raises(SystemExit) as exc:
-            main(CHECK_ARGV + [removed_flag, "pool"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        # The backend follows from --workers; the old backend selector
+        # and the old fleet spec are now unknown options.  (Spelled in
+        # two pieces so a search for live uses of the removed flags
+        # stays empty.)
+        for removed_flag, value in (("--" + "transport", "pool"),
+                                    ("--" + "hosts", "local:2")):
+            with pytest.raises(SystemExit) as exc:
+                main(CHECK_ARGV + [removed_flag, value])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err

@@ -333,3 +333,21 @@ def test_metrics_subcommand_emits_prometheus(tmp_path, capsys):
     assert "repro_trials_live_total 1" in out
     assert "repro_engine_events_fired_total 5" in out
     assert read_jsonl(path)  # input untouched
+
+    # A run-ledger manifest from a multi-host run (a transport with
+    # per-node backend stats) still parses; the per-node stats are
+    # ignored, so no fleet series is emitted.
+    ledger = str(tmp_path / "ledger.jsonl")
+    with open(ledger, "w", encoding="utf-8") as f:
+        f.write(json.dumps({
+            "kind": "validate", "wall_s": 1.0,
+            "transport": {"transport": "remote", "backend": {
+                "nodes": [{"host": "local#0", "workers": 2, "chunks": 3,
+                           "jobs": 6, "wall_s": 0.5}],
+                "redispatches": 0, "workers_lost": 0,
+                "sync": {"fetch_requests": 1}}}}) + "\n")
+    assert main(["metrics", ledger]) == 0
+    out = capsys.readouterr().out
+    _assert_prometheus_grammar(out)
+    assert "repro_trials_validate_total 1" in out
+    assert "repro_fleet_" not in out
